@@ -12,7 +12,8 @@ so scalars from Q(q) are central but torus characters are not.
 from __future__ import annotations
 
 from .laurent import RatFunc, expand_den_factor
-from .rootdata import RootDatum, WeylElt, inversion_set, multiply_elts
+from .rootdata import (RootDatum, RootDatumError, WeylElt, inversion_set,
+                       multiply_elts)
 from .scalars import QScalar
 
 __all__ = ["AlgebraElement", "conjugate_by_delta_factor"]
@@ -100,7 +101,8 @@ class AlgebraElement:
             return AlgebraElement(
                 self.datum,
                 {w: f * other.weyl_transform(w) for w, f in self.terms.items()})
-        assert self.datum is other.datum, "mixed root data"
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
         out: dict[WeylElt, RatFunc] = {}
         for w, f in self.terms.items():
             for y, g in other.terms.items():

@@ -22,7 +22,8 @@ from .membership import check_membership
 from .presentations import (action_preservation_suite, bernstein_suite,
                             braid_suite, closure_suite, delta_criterion_suite,
                             quadratic_suite, verify_daha_suite)
-from .rootdata import CartanMatrix, RootDatumError, build_datum, preset_datum
+from .rootdata import (CartanMatrix, CartanMatrixError, RootDatumError,
+                       build_datum, preset_datum)
 from .scalars import ScalarParseError
 from .serialize import (SerializeError, datum_to_dict, dump_report,
                         element_from_dict, element_to_dict, load_json,
@@ -32,8 +33,17 @@ VERIFY_SUITES = ("quadratic", "braid", "membership-closure", "delta-criterion",
                  "bernstein", "daha", "action-preservation")
 ELLIPTIC_SUITES = ("involution", "prop46", "braid-failure")
 
-_INPUT_ERRORS = (SerializeError, RootDatumError, LaurentError,
-                 ScalarParseError, OSError)
+_INPUT_ERRORS = (SerializeError, RootDatumError, CartanMatrixError,
+                 LaurentError, ScalarParseError, OSError)
+
+
+def _int_rows(source: str, field: str, rows) -> tuple:
+    """A datum-file field that must be a list of integer vectors."""
+    try:
+        return tuple(tuple(int(x) for x in row) for row in rows)
+    except (TypeError, ValueError):
+        raise SerializeError(
+            f"{source}: {field!r} must be a list of integer vectors") from None
 
 
 def _load_datum(source: str):
@@ -42,12 +52,20 @@ def _load_datum(source: str):
         data = load_json(path.read_text())
         if not isinstance(data, dict) or "cartan" not in data:
             raise SerializeError(f"{source}: datum file needs a 'cartan' matrix")
-        cartan = CartanMatrix(tuple(tuple(int(x) for x in row)
-                                    for row in data["cartan"]))
+        cartan = CartanMatrix(_int_rows(source, "cartan", data["cartan"]))
         choice = data.get("choice", "default")
+        if not isinstance(choice, str):
+            raise SerializeError(
+                f"{source}: 'choice' must be a string; give explicit "
+                "vectors as 'roots' and 'coroots'")
         if "roots" in data or "coroots" in data:
-            choice = {"roots": [tuple(v) for v in data["roots"]],
-                      "coroots": [tuple(v) for v in data["coroots"]]}
+            for field in ("roots", "coroots"):
+                if field not in data:
+                    raise SerializeError(
+                        f"{source}: 'roots' and 'coroots' come together; "
+                        f"{field!r} is missing")
+            choice = {field: _int_rows(source, field, data[field])
+                      for field in ("roots", "coroots")}
         return build_datum(cartan, choice)
     return preset_datum(source)
 
@@ -80,6 +98,13 @@ def _stream(report) -> None:
         else:
             print(f"{e.element}  {e.check}  {e.value:.3e}  {e.status}",
                   file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=VERIFY_SUITES, required=True)
     p.add_argument("--max-length", type=int, default=None,
                    help="length bound for the braid suite")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive_int, default=None,
                    help="sample count for the randomized suites")
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
@@ -264,3 +289,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

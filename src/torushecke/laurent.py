@@ -9,10 +9,12 @@ with the target scalar c in Q(q).  Keeping denominators factored is what
 makes pole orders, residues, and divisor-vanishing checks exact instead
 of a factorization problem.
 
-Division by a binomial works in a unimodular change of exponent
-coordinates sending the character of beta to (g, 0, ..., 0) with g its
-content; the binomial becomes univariate there and ordinary long
-division applies.  The transforms are cached per character vector.
+Division by a binomial t^alpha - c needs one integer linear form u0 with
+<u0, alpha> = g, the content of alpha: it grades the exponents by level
+<u0, e>, alpha raises the level by exactly g, and long division walks
+the levels from the top.  Restriction to the divisor t^alpha = c folds
+each exponent into the bottom g levels.  Both stay in the original
+coordinates; the forms are cached per character vector.
 
 On a degenerate (derived) affine realization distinct real roots can
 share a character vector up to sign, so distinct stored factors may cut
@@ -22,6 +24,9 @@ never do.
 
 from __future__ import annotations
 
+from operator import mul, sub
+
+from .rootdata import RootDatumError
 from .scalars import QScalar, scalar_str
 
 __all__ = [
@@ -197,44 +202,28 @@ class LaurentPoly:
 
 # -- binomial division -----------------------------------------------------
 
-_UNIMOD_CACHE: dict[ExpVec, tuple[tuple, tuple, int]] = {}
+# character vector -> (u0, g): an integer row with <u0, alpha> = g, the
+# content of alpha
+_UNIMOD_CACHE: dict[ExpVec, tuple[ExpVec, int]] = {}
 
 
-def _unimodular_for(d: ExpVec):
-    """U, Uinv unimodular with U @ d = (g, 0, ..., 0), g = content of d > 0."""
+def _linear_form(d: ExpVec) -> tuple[ExpVec, int]:
+    """u0, g with <u0, d> = g = content of d > 0, by chained extended gcds."""
     cached = _UNIMOD_CACHE.get(d)
     if cached is not None:
         return cached
-    r = len(d)
     if not any(d):
         raise LaurentError("zero character vector has no divisor")
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = list(d)
-    for i in range(1, r):
-        a, b = v[0], v[i]
-        if b == 0:
-            continue
-        g, x, y = _ext_gcd(a, b)
-        # rows (0, i) of U get [[x, y], [-b/g, a/g]]; columns of Uinv get
-        # the inverse [[a/g, -y], [b/g, x]]
-        p, qq = -b // g, a // g
-        for col in range(r):
-            u0, ui = U[0][col], U[i][col]
-            U[0][col] = x * u0 + y * ui
-            U[i][col] = p * u0 + qq * ui
-        for row in range(r):
-            w0, wi = Uinv[row][0], Uinv[row][i]
-            Uinv[row][0] = qq * w0 - p * wi
-            Uinv[row][i] = -y * w0 + x * wi
-        v[0], v[i] = g, 0
-    if v[0] < 0:
-        for col in range(r):
-            U[0][col] = -U[0][col]
-        for row in range(r):
-            Uinv[row][0] = -Uinv[row][0]
-        v[0] = -v[0]
-    out = (tuple(map(tuple, U)), tuple(map(tuple, Uinv)), v[0])
+    u0 = [1] + [0] * (len(d) - 1)
+    g = d[0]
+    for i in range(1, len(d)):
+        if d[i]:
+            g, x, y = _ext_gcd(g, d[i])
+            u0 = [x * v for v in u0]
+            u0[i] = y
+    if g < 0:
+        u0, g = [-v for v in u0], -g
+    out = (tuple(u0), g)
     _UNIMOD_CACHE[d] = out
     return out
 
@@ -258,67 +247,64 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
                        target: QScalar):
     """Write poly = (t^alpha - c) * quotient + remainder, both exact.
 
-    alpha_doubled is the doubled character vector of alpha; the remainder
-    has first-coordinate degree spread less than the content g in the
-    transformed coordinates, so it is zero exactly when the binomial
-    divides poly.
+    alpha_doubled is the doubled character vector of alpha.  Terms are
+    bucketed by their level <u0, e> under a linear form with <u0, alpha> = g,
+    the content of alpha; long division walks the levels from the top, and
+    a term e sends its coefficient to the quotient at e - alpha and, times
+    c, to e - alpha one level g lower.  The remainder is what is left in the
+    bottom g levels, so it is zero exactly when the binomial divides poly.
     """
     if poly.is_zero():
         return poly, poly
-    U, Uinv, g = _unimodular_for(alpha_doubled)
-    work = poly.transform_exponents(U)
-    m0 = min(e[0] for e in work.terms)
-    # bucket by first coordinate relative to m0
-    buckets: dict[int, dict[ExpVec, QScalar]] = {}
-    for e, c in work.terms.items():
-        buckets.setdefault(e[0] - m0, {})[e[1:]] = c
+    u0, g = _linear_form(alpha_doubled)
+    levels: dict[int, dict[ExpVec, QScalar]] = {}
+    for e, c in poly.terms.items():
+        levels.setdefault(sum(map(mul, u0, e)), {})[e] = c
+    scale = not target.is_one()
     quot: dict[ExpVec, QScalar] = {}
-    # walk every level down to g, including levels the division itself fills
-    for k in range(max(buckets), g - 1, -1):
-        src = buckets.pop(k, None)
+    # walk every level down to the lowest plus g, including levels the
+    # division itself fills
+    for k in range(max(levels), min(levels) + g - 1, -1):
+        src = levels.pop(k, None)
         if not src:
             continue
-        low = buckets.setdefault(k - g, {})
-        for rest, c in src.items():
+        low = levels.setdefault(k - g, {})
+        for e, c in src.items():
             if c.is_zero():
                 continue
-            quot_e = (k - g + m0,) + rest
-            acc = quot.get(quot_e)
-            quot[quot_e] = c if acc is None else acc + c
-            cc = c * target
-            accl = low.get(rest)
-            low[rest] = cc if accl is None else accl + cc
-    rem: dict[ExpVec, QScalar] = {}
-    for k, src in buckets.items():
-        for rest, c in src.items():
-            if not c.is_zero():
-                rem[(k + m0,) + rest] = c
-    q_poly = LaurentPoly(len(alpha_doubled), quot).transform_exponents(Uinv)
-    r_poly = LaurentPoly(len(alpha_doubled), rem).transform_exponents(Uinv)
-    return q_poly, r_poly
+            # each level is walked once, so quot never sees qe twice
+            qe = tuple(map(sub, e, alpha_doubled))
+            quot[qe] = c
+            if scale:
+                c = c * target
+            acc = low.get(qe)
+            low[qe] = c if acc is None else acc + c
+    rem = {e: c for src in levels.values() for e, c in src.items()}
+    rank = len(alpha_doubled)
+    return LaurentPoly(rank, quot), LaurentPoly(rank, rem)
 
 
 def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
                         target: QScalar) -> LaurentPoly:
-    """Canonical image of poly modulo (t^alpha - c), in transformed coordinates.
+    """Canonical image of poly modulo (t^alpha - c), in the original coordinates.
 
-    Each transformed exponent k folds to k mod g, picking up c^(k div g).
-    The result is zero exactly when poly lies in the ideal of the divisor.
-    The returned polynomial lives in the TRANSFORMED coordinates (first
-    variable of degree < g); compare such restrictions only with each
-    other for the same alpha and target.
+    Each term e folds to e - s*alpha with coefficient times c^s, where
+    s = <u0, e> div g for the linear form of ``divide_by_binomial``; the
+    representative has level in [0, g).  The result is zero exactly when
+    poly lies in the ideal of the divisor, and two polynomials restrict to
+    the same result exactly when they agree on the divisor.
     """
     if poly.is_zero():
         return poly
-    U, _Uinv, g = _unimodular_for(alpha_doubled)
-    work = poly.transform_exponents(U)
+    u0, g = _linear_form(alpha_doubled)
     out: dict[ExpVec, QScalar] = {}
-    for e, c in work.terms.items():
-        s, r = divmod(e[0], g)
-        val = c * target ** s
-        key = (r,) + e[1:]
-        acc = out.get(key)
-        out[key] = val if acc is None else acc + val
+    for e, c in poly.terms.items():
+        s = sum(map(mul, u0, e)) // g
+        if s:
+            e = tuple(x - s * a for x, a in zip(e, alpha_doubled))
+            c = c * target ** s
+        acc = out.get(e)
+        out[e] = c if acc is None else acc + c
     return LaurentPoly(len(alpha_doubled), out)
 
 
@@ -472,19 +458,11 @@ class RatFunc:
         got = self.den.get((tuple(char_doubled), target))
         return got[0] if got else 0
 
-    def den_poly(self, skip=None) -> LaurentPoly:
-        """The expanded denominator, optionally skipping one key."""
-        out = LaurentPoly.one(self.datum.rank)
-        for (dchar, target), (m, _rep) in self.den.items():
-            if skip is not None and (dchar, target) == skip:
-                continue
-            out = out * expand_den_factor(self.datum.rank, dchar, target, m)
-        return out
-
     # arithmetic
 
     def _common(self, other: "RatFunc"):
-        assert self.datum is other.datum, "mixed root data"
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
         union: dict = {}
         for key, (m, rep) in self.den.items():
             union[key] = (m, rep)
@@ -526,7 +504,8 @@ class RatFunc:
                            reduce=False)
         if isinstance(other, LaurentPoly):
             return RatFunc(self.datum, self.num * other, self.den)
-        assert self.datum is other.datum, "mixed root data"
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.datum)
         den = dict(self.den)
@@ -541,12 +520,6 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         return (self - other).is_zero()
-
-    def scale_monomial(self, char, coef: QScalar = _ONE,
-                       half: bool = False) -> "RatFunc":
-        exp = tuple(int(x) for x in char) if half else tuple(2 * int(x) for x in char)
-        return RatFunc(self.datum, self.num.shift(exp).scale(coef), self.den,
-                       reduce=False)
 
     def inverse(self, peel=None) -> "RatFunc":
         """Invert a unit: denominator factors move up, numerator must reduce

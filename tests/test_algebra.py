@@ -1,7 +1,14 @@
 """The twisted group algebra: products, actions, kernel conjugation."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import torushecke
 from torushecke.algebra import AlgebraElement
 from torushecke.demazure import make_delta, make_delta_inverse
 from torushecke.laurent import LaurentPoly, RatFunc
@@ -10,6 +17,7 @@ from torushecke.rootdata import (
     canonicalize_word,
     multiply_elts,
     preset_datum,
+    RootDatumError,
     weyl_ball,
 )
 from torushecke.scalars import QScalar
@@ -121,3 +129,30 @@ def test_conjugate_by_delta_matches_explicit_kernel():
             x = _random_element(datum, rng, ball)
             assert x.conjugate_by_delta() == delta * x * delta_inv
             assert x.conjugate_by_delta(inward=True) == delta_inv * x * delta
+
+
+def test_mixing_root_data_raises():
+    a, b = preset_datum("A2"), preset_datum("A2")
+    fa = RatFunc.one(a).with_den_factor(a.simple_root_obj(1), ONE)
+    fb = RatFunc.character(b, (1, 0))
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        fa + fb
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        fa * fb
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        AlgebraElement.identity(a) * AlgebraElement.identity(b)
+
+
+def test_mixing_root_data_raises_under_optimize():
+    # python -O strips assert statements; the guard must survive it
+    path = os.pathsep.join([str(Path(torushecke.__file__).resolve().parent.parent),
+                            str(Path(__file__).resolve().parent)])
+    script = ("import sys, test_algebra; "
+              "test_algebra.test_mixing_root_data_raises(); "
+              "print(sys.flags.optimize)")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"

@@ -1,9 +1,14 @@
 """JSON wire formats and the command-line front end, run in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torushecke
 from torushecke.algebra import AlgebraElement
 from torushecke.cli import run_cli
 from torushecke.demazure import normal_form, sigma_along_word
@@ -214,3 +219,52 @@ def test_cli_elliptic(tmp_path, capsys):
     # the shift may not be a half period
     assert run_cli(["elliptic", "--suite", "involution", "--q=-0.25"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["membership-closure", "delta-criterion",
+                                   "action-preservation"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_rejects_nonpositive_samples(suite, samples, capsys):
+    assert run_cli(["verify", "-d", "A1", "--suite", suite,
+                    "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert "positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"cartan": "xx"}', "'cartan' must be a list of integer vectors"),
+    ('{"cartan": 5}', "'cartan' must be a list of integer vectors"),
+    ('{"cartan": [[2, -1], [-1, 3]]}', "diagonal entry"),
+    ('{"cartan": [[2, -1], [-1, 2]], "roots": [[2, -1], [-1, 2]]}',
+     "'coroots' is missing"),
+    ('{"cartan": [[2, -1], [-1, 2]], "coroots": [[1, 0], [0, 1]]}',
+     "'roots' is missing"),
+    ('{"cartan": [[2, -1], [-1, 2]], "roots": [[2, "z"], [-1, 2]],'
+     ' "coroots": [[1, 0], [0, 1]]}', "'roots' must be a list"),
+    ('{"cartan": [[2, -1], [-1, 2]], "choice": {}}', "'choice' must be"),
+])
+def test_cli_datum_file_errors_exit_2(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert run_cli(["datum", "-d", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
+
+
+def test_cli_module_entry_point(tmp_path):
+    src = str(Path(torushecke.__file__).resolve().parent.parent)
+    out = tmp_path / "quad.json"
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "torushecke.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+
+    done = run("verify", "-d", "A2", "--suite", "quadratic", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["ok"] is True
+    assert run("verify", "-d", "A2", "--suite", "membership-closure",
+               "--samples", "-3").returncode == 2
