@@ -19,7 +19,7 @@ coordinates; the forms are cached per character vector.
 On a degenerate (derived) affine realization distinct real roots can
 share a character vector up to sign, so distinct stored factors may cut
 the same divisor; the full realizations used by the verification suites
-never do.
+never do, and ``check_membership`` refuses derived data.
 """
 
 from __future__ import annotations

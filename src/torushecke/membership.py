@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement
 from .laurent import vanishes_on_divisor
-from .rootdata import (RootDatum, inversion_set, multiply_elts,
-                       reflection_of_root)
+from .rootdata import (RootDatum, RootDatumError, inversion_set,
+                       multiply_elts, reflection_of_root)
 from .scalars import QScalar, scalar_str
 
 __all__ = ["Violation", "MembershipReport", "check_membership",
@@ -85,6 +85,12 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     datum = x.datum
+    # on the derived quotient the null character is zero, so alpha_0 and
+    # -theta share a character and one divisor would be split in two
+    if datum.kind == "affine" and not any(datum.affine.delta_char):
+        raise RootDatumError(
+            "membership needs the full realization; the derived quotient has "
+            "no null character, so distinct roots share a divisor")
     violations: list[Violation] = []
     # "1.3.1": first-order poles, only on t^alpha = 1
     scan: dict[tuple, tuple] = {}  # root coords -> doubled char

@@ -40,6 +40,7 @@ __all__ = [
     "bruhat_leq",
     "real_roots_up_to_height",
     "positive_real_roots_up_to_height",
+    "is_real_root",
     "all_positive_roots",
     "highest_root",
     "act_on_character",
@@ -731,6 +732,14 @@ def positive_real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:
     return out
 
 
+def is_real_root(datum: RootDatum, coords) -> bool:
+    """Whether simple-root coordinates name a real root, positive or negative."""
+    v = tuple(coords)
+    if sum(v) < 0:
+        v = tuple(-c for c in v)
+    return _descent(datum, v) is not None
+
+
 def real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:
     """All real roots with |height| <= h (positives then their negatives)."""
     pos = positive_real_roots_up_to_height(datum, h)
@@ -787,19 +796,22 @@ def reflection_of_root(datum: RootDatum, root: Root) -> WeylElt:
     return _reflection_data(datum, root)[0]
 
 
-def _reflection_data(datum: RootDatum, root: Root) -> tuple[WeylElt, Vec]:
-    if not root.positive:
-        raise RootDatumError("reflection data wants a positive root")
-    cached = datum._refl.get(root.coords)
-    if cached is not None:
-        return cached
+def _descent(datum: RootDatum, coords: Vec) -> tuple[list[int], int] | None:
+    """Walk a positive real root down to a simple one.
+
+    Returns (positions p_1..p_k, s) with s_{p_k}...s_{p_1} taking coords
+    to the simple root at position s, each step lowering the height and
+    staying positive; None when no walk exists.  A positive real root
+    that is not simple always has such a step, and a walk from anything
+    else never reaches a simple root, so None means coords is not a
+    positive real root.
+    """
     word = []
-    v = root.coords
+    v = coords
     while True:
         live = [k for k, c in enumerate(v) if c]
         if len(live) == 1 and v[live[0]] == 1:
-            simple_pos = live[0]
-            break
+            return word, live[0]
         for p in range(datum.n):
             pair = sum(datum.cartan.entries[p][j] * v[j] for j in range(datum.n))
             if pair > 0:
@@ -809,7 +821,19 @@ def _reflection_data(datum: RootDatum, root: Root) -> tuple[WeylElt, Vec]:
                     v = u
                     break
         else:
-            raise RootDatumError(f"{root!r} is not a positive real root")
+            return None
+
+
+def _reflection_data(datum: RootDatum, root: Root) -> tuple[WeylElt, Vec]:
+    if not root.positive:
+        raise RootDatumError("reflection data wants a positive root")
+    cached = datum._refl.get(root.coords)
+    if cached is not None:
+        return cached
+    walk = _descent(datum, root.coords)
+    if walk is None:
+        raise RootDatumError(f"{root!r} is not a positive real root")
+    word, simple_pos = walk
     covec = datum.simple_coroots[simple_pos]
     for p in reversed(word):
         # s_p on cocharacters: x -> x - <x, root_p> coroot_p

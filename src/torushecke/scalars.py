@@ -1,15 +1,30 @@
 """Exact arithmetic in the field Q(q) of rational functions in a formal parameter q.
 
-A scalar is a reduced fraction of integer-coefficient polynomials in q.  The
-parameter q is never specialized to a number; every operation is exact.  The
-canonical form (gcd-reduced over Z[q], denominator with positive leading
-coefficient) makes equality and hashing structural.
+A scalar is stored as q^v * n(q)/d(q): an integer valuation v and two
+integer polynomials n and d with n(0) != 0 and d(0) != 0, coprime over
+Z[q] including integer content, d with a positive leading coefficient.
+Zero is v = 0, n = (), d = (1,).  The parameter q is never specialized to
+a number; every operation is exact, and the canonical form makes equality
+and hashing structural.
+
+Nearly every scalar the library meets lies in Z[q, q^-1], that is d = (1,).
+Those take a fast path: a product adds valuations and multiplies integer
+polynomials (Z[q] is a domain, so there is nothing to trim or cancel), a
+sum aligns valuations and strips the low zeros a cancellation leaves.
+Only a general denominator such as (q-1)/(q+1) runs the gcd reduction.
+
+The read-only ``num`` and ``den`` give the value as a reduced fraction in
+nonnegative powers of q: q^v joins the numerator when v > 0 and the
+denominator when v < 0.
 
 >>> q = QScalar.q_power(1)
 >>> str(q * q - QScalar.one())
 'q^2-1'
 >>> str((q * q - QScalar.one()) / (q + q))
 '(q^2-1)/(2*q)'
+>>> x = (q + QScalar.one()) * q ** -2
+>>> x.num, x.den
+((1, 1), (0, 0, 1))
 """
 
 from __future__ import annotations
@@ -23,6 +38,10 @@ __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
 # Integer polynomials in q, dense low-to-high, no trailing zeros, () is zero.
 Coeffs = tuple[int, ...]
 
+# The denominator of every scalar in Z[q, q^-1]; the fast paths test for it
+# by identity, so every constructor stores this very tuple.
+_UNIT: Coeffs = (1,)
+
 
 def _trim(cs) -> Coeffs:
     n = len(cs)
@@ -31,13 +50,25 @@ def _trim(cs) -> Coeffs:
     return tuple(cs[:n])
 
 
-def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
+def _low(cs) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    k = 0
+    while not cs[k]:
+        k += 1
+    return k
+
+
+def _shift_add(a: Coeffs, b: Coeffs, s: int) -> list[int]:
+    """a + q^s * b for s >= 0, trailing zeros trimmed."""
     out = list(a)
-    for i, c in enumerate(b):
+    top = s + len(b)
+    if top > len(out):
+        out.extend([0] * (top - len(out)))
+    for i, c in enumerate(b, s):
         out[i] += c
-    return _trim(out)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _pneg(a: Coeffs) -> Coeffs:
@@ -45,15 +76,15 @@ def _pneg(a: Coeffs) -> Coeffs:
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
+    """Product of two nonzero trimmed polynomials; Z[q] is a domain, so the
+    leading coefficient of the product is nonzero."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return _trim(out)
+    return tuple(out)
 
 
 def _content(a: Coeffs) -> int:
@@ -129,64 +160,75 @@ def _trim_frac(fs: list[Fraction]) -> list[Fraction]:
     return fs[:n]
 
 
-def _monomial_valuation(a: Coeffs) -> int:
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return 0
+def _reduce(v: int, n: Coeffs, d: Coeffs) -> tuple[int, Coeffs, Coeffs]:
+    """Canonical (v, n, d) of q^v * n/d; n and d are trimmed, d is not zero."""
+    if not n:
+        return 0, (), _UNIT
+    k = _low(n)
+    if k:
+        n, v = n[k:], v + k
+    k = _low(d)
+    if k:
+        d, v = d[k:], v - k
+    if len(d) == 1:
+        c = gcd(d[0], _content(n))
+        if d[0] < 0:
+            c = -c
+        if c != 1:
+            n = tuple(x // c for x in n)
+        return v, n, (_UNIT if d[0] == c else (d[0] // c,))
+    g = _pgcd(n, d)
+    if g != (1,):
+        n, d = _pdivexact(n, g), _pdivexact(d, g)
+    if d[-1] < 0:
+        n, d = _pneg(n), _pneg(d)
+    return v, n, (_UNIT if d == (1,) else d)
+
+
+_new = object.__new__
+
+
+def _make(v: int, n: Coeffs, d: Coeffs) -> "QScalar":
+    """A scalar from a (v, n, d) triple that is already canonical."""
+    x = _new(QScalar)
+    x.v = v
+    x.n = n
+    x.d = d
+    return x
 
 
 class QScalar:
-    """An element of Q(q) in canonical reduced form."""
+    """An element q^v * n/d of Q(q) in canonical form (see the module docstring)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("v", "n", "d")
 
     def __init__(self, num, den=(1,)):
         num = _trim(num)
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if not num:
-            self.num, self.den = (), (1,)
-            return
-        if den == (1,):
-            self.num, self.den = num, den
-            return
-        # fast path: monomial denominator c*q^k
-        nz = [i for i, c in enumerate(den) if c]
-        if len(nz) == 1:
-            k = nz[0]
-            v = min(k, _monomial_valuation(num))
-            c = gcd(abs(den[k]), _content(num))
-            num = tuple(x // c for x in num[v:])
-            dc = den[k] // c
-            if dc < 0:
-                num, dc = _pneg(num), -dc
-            if dc == 1 and k == v:
-                self.num, self.den = num, (1,)
-            else:
-                self.num, self.den = num, tuple([0] * (k - v) + [dc])
-            return
-        g = _pgcd(num, den)
-        if g != (1,):
-            num = _pdivexact(num, g)
-            den = _pdivexact(den, g)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self.num, self.den = num, den
+        self.v, self.n, self.d = _reduce(0, num, den)
+
+    @property
+    def num(self) -> Coeffs:
+        """Numerator of the value as a reduced fraction in nonnegative powers of q."""
+        return (0,) * self.v + self.n if self.v > 0 else self.n
+
+    @property
+    def den(self) -> Coeffs:
+        """Denominator of the value as a reduced fraction in nonnegative powers of q."""
+        return (0,) * -self.v + self.d if self.v < 0 else self.d
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return QScalar((n,))
+        return _make(0, (n,), _UNIT) if n else _ZERO
 
     @staticmethod
     def q_power(k: int) -> "QScalar":
         """The monomial q^k, any integer k."""
-        if k >= 0:
-            return QScalar((0,) * k + (1,))
-        return QScalar((1,), (0,) * (-k) + (1,))
+        return _make(k, (1,), _UNIT)
 
     @staticmethod
     def zero() -> "QScalar":
@@ -199,51 +241,81 @@ class QScalar:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.n
 
     def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
+        return not self.v and self.n == (1,) and self.d == (1,)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "QScalar") -> "QScalar":
-        if self.is_zero():
+        a, b = self.n, other.n
+        if not a:
             return other
-        if other.is_zero():
+        if not b:
             return self
-        if self.den == (1,) and other.den == (1,):
-            return QScalar(_padd(self.num, other.num))
-        return QScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        v, w = self.v, other.v
+        if self.d is _UNIT and other.d is _UNIT:
+            if v > w:
+                a, b, v, w = b, a, w, v
+            out = _shift_add(a, b, w - v)
+            if not out:
+                return _ZERO
+            # only equal valuations can cancel the lowest term
+            if v == w and not out[0]:
+                k = _low(out)
+                del out[:k]
+                v += k
+            return _make(v, tuple(out), _UNIT)
+        a, b = _pmul(a, other.d), _pmul(b, self.d)
+        if v > w:
+            a, b, v, w = b, a, w, v
+        return _make(*_reduce(v, tuple(_shift_add(a, b, w - v)),
+                              _pmul(self.d, other.d)))
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __neg__(self) -> "QScalar":
-        out = object.__new__(QScalar)
-        out.num, out.den = _pneg(self.num), self.den
-        return out
+        return _make(self.v, _pneg(self.n), self.d)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        if self.is_zero() or other.is_zero():
+        a, b = self.n, other.n
+        if not a or not b:
             return _ZERO
-        return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        v = self.v + other.v
+        if self.d is _UNIT and other.d is _UNIT:
+            if len(a) == 1:
+                a, b = b, a
+            if len(b) != 1:
+                return _make(v, _pmul(a, b), _UNIT)
+            # a product by c * q^k
+            c = b[0]
+            if c == 1:
+                return _make(v, a, _UNIT)
+            if c == -1:
+                return _make(v, _pneg(a), _UNIT)
+            return _make(v, tuple(c * x for x in a), _UNIT)
+        return _make(*_reduce(v, _pmul(a, b), _pmul(self.d, other.d)))
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(q)")
-        return QScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return self * other.inverse()
 
     def inverse(self) -> "QScalar":
-        if self.is_zero():
+        n, d = self.n, self.d
+        if not n:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return QScalar(self.den, self.num)
+        if n[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return _make(-self.v, d, _UNIT if n == (1,) else n)
 
     def __pow__(self, k: int) -> "QScalar":
         if k < 0:
             return self.inverse() ** (-k)
+        if len(self.n) == 1 and self.d is _UNIT:
+            return _make(self.v * k, (self.n[0] ** k,), _UNIT)
         out = _ONE
         base = self
         while k:
@@ -258,12 +330,13 @@ class QScalar:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QScalar)
-            and self.num == other.num
-            and self.den == other.den
+            and self.v == other.v
+            and self.n == other.n
+            and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.v, self.n, self.d))
 
     def __repr__(self):
         return f"QScalar({scalar_str(self)!r})"
@@ -272,8 +345,8 @@ class QScalar:
         return scalar_str(self)
 
 
-_ZERO = QScalar(())
-_ONE = QScalar((1,))
+_ZERO = _make(0, (), _UNIT)
+_ONE = _make(0, (1,), _UNIT)
 
 
 # -- text form ----------------------------------------------------------
@@ -359,17 +432,16 @@ def _parse_poly(text: str) -> dict[int, int]:
     return out
 
 
-def _poly_from_terms(terms: dict[int, int]) -> tuple[Coeffs, int]:
-    """Return (integer polynomial, power-of-q shift) with shift <= 0."""
+def _poly_from_terms(terms: dict[int, int]) -> tuple[int, Coeffs]:
+    """(valuation, integer polynomial with nonzero constant term); (0, ()) for zero."""
     live = {e: c for e, c in terms.items() if c}
     if not live:
-        return (), 0
-    shift = min(0, min(live))
-    top = max(live)
-    cs = [0] * (top - shift + 1)
+        return 0, ()
+    low = min(live)
+    cs = [0] * (max(live) - low + 1)
     for e, c in live.items():
-        cs[e - shift] = c
-    return _trim(cs), shift
+        cs[e - low] = c
+    return low, tuple(cs)
 
 
 def parse_scalar(text: str) -> QScalar:
@@ -392,19 +464,14 @@ def parse_scalar(text: str) -> QScalar:
     if depth != 0 and split < 0:
         raise ScalarParseError(f"unbalanced parentheses in {text!r}")
     if split < 0:
-        n_cs, n_sh = _poly_from_terms(_parse_poly(s))
-        d_cs, d_sh = (1,), 0
+        n_v, n_cs = _poly_from_terms(_parse_poly(s))
+        d_v, d_cs = 0, _UNIT
     else:
-        n_cs, n_sh = _poly_from_terms(_parse_poly(s[:split]))
-        d_cs, d_sh = _poly_from_terms(_parse_poly(s[split + 1 :]))
+        n_v, n_cs = _poly_from_terms(_parse_poly(s[:split]))
+        d_v, d_cs = _poly_from_terms(_parse_poly(s[split + 1 :]))
     if not d_cs:
         raise ScalarParseError("zero denominator")
-    shift = n_sh - d_sh
-    if shift >= 0:
-        n_cs = _pmul(n_cs, (0,) * shift + (1,))
-    else:
-        d_cs = _pmul(d_cs, (0,) * (-shift) + (1,))
-    return QScalar(n_cs, d_cs)
+    return _make(*_reduce(n_v - d_v, n_cs, d_cs))
 
 
 if __name__ == "__main__":

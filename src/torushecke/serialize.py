@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraElement
-from .laurent import LaurentPoly, RatFunc
-from .rootdata import (RootDatum, positive_real_roots_up_to_height, weyl_ball)
-from .scalars import QScalar, parse_scalar, scalar_str
+from .laurent import LaurentError, LaurentPoly, RatFunc
+from .rootdata import (RootDatum, RootDatumError, canonicalize_word,
+                       is_real_root, positive_real_roots_up_to_height,
+                       weyl_ball)
+from .scalars import QScalar, ScalarParseError, parse_scalar, scalar_str
 
 SCHEMA = "1"
 
@@ -39,31 +41,70 @@ def element_to_dict(x: AlgebraElement) -> dict:
     return {"terms": terms}
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SerializeError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SerializeError(
+            f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise SerializeError(f"{where}: missing {key!r}")
+    return obj[key]
+
+
+def _int_vector(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise SerializeError(f"{where}: expected a list of integers")
+    return tuple(value)
+
+
+def _scalar(value, where: str) -> QScalar:
+    if not isinstance(value, str):
+        raise SerializeError(f"{where}: expected a scalar string such as 'q^2-1'")
+    try:
+        return parse_scalar(value)
+    except ScalarParseError as exc:
+        raise SerializeError(f"{where}: {exc}") from None
+
+
 def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> RatFunc:
     poly = LaurentPoly.zero(datum.rank)
-    for j, tm in enumerate(num_part):
-        try:
-            coef = parse_scalar(tm["coef"])
-            exp = tuple(int(v) for v in tm["exp"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializeError(f"{where}.num[{j}]: {exc}") from None
+    for j, tm in enumerate(_list(num_part, f"{where}.num")):
+        at = f"{where}.num[{j}]"
+        tm = _object(tm, at)
+        coef = _scalar(_field(tm, "coef", at), f"{at}.coef")
+        exp = _int_vector(_field(tm, "exp", at), f"{at}.exp")
         if len(exp) != datum.rank:
-            raise SerializeError(f"{where}.num[{j}]: exponent length "
+            raise SerializeError(f"{at}: exponent length "
                                  f"{len(exp)}, expected {datum.rank}")
         poly = poly + LaurentPoly.monomial(datum.rank, exp, coef)
     out = RatFunc.from_poly(datum, poly)
-    for j, fac in enumerate(den_part):
-        try:
-            coords = tuple(int(v) for v in fac["root"])
-            target = parse_scalar(fac["target"])
-            mult = int(fac.get("mult", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializeError(f"{where}.den[{j}]: {exc}") from None
+    for j, fac in enumerate(_list(den_part, f"{where}.den")):
+        at = f"{where}.den[{j}]"
+        fac = _object(fac, at)
+        coords = _int_vector(_field(fac, "root", at), f"{at}.root")
+        target = _scalar(_field(fac, "target", at), f"{at}.target")
+        mult = fac.get("mult", 1)
+        if type(mult) is not int or mult < 0:
+            raise SerializeError(f"{at}.mult: expected a nonnegative integer")
         if len(coords) != datum.n:
-            raise SerializeError(f"{where}.den[{j}]: root has {len(coords)} "
+            raise SerializeError(f"{at}: root has {len(coords)} "
                                  f"coordinates, expected {datum.n}")
-        root = datum.root_from_coords(coords)
-        out = out.with_den_factor(root, target, mult)
+        if not is_real_root(datum, coords):
+            raise SerializeError(
+                f"{at}: {list(coords)} is not a real root of the datum")
+        try:
+            out = out.with_den_factor(datum.root_from_coords(coords), target, mult)
+        except LaurentError as exc:
+            raise SerializeError(f"{at}: {exc}") from None
     return out
 
 
@@ -71,13 +112,10 @@ def element_from_dict(datum: RootDatum, data: dict) -> AlgebraElement:
     if not isinstance(data, dict) or "terms" not in data:
         raise SerializeError("element payload must be an object with 'terms'")
     out = AlgebraElement.zero(datum)
-    for i, term in enumerate(data["terms"]):
+    for i, term in enumerate(_list(data["terms"], "terms")):
         where = f"terms[{i}]"
-        try:
-            word = tuple(int(v) for v in term["word"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializeError(f"{where}.word: {exc}") from None
-        from .rootdata import canonicalize_word, RootDatumError
+        term = _object(term, where)
+        word = _int_vector(_field(term, "word", where), f"{where}.word")
         try:
             w = canonicalize_word(datum, word)
         except RootDatumError as exc:

@@ -1,0 +1,172 @@
+"""Q(q) arithmetic, checked against sympy's field of fractions QQ(q).
+
+Property tests: hypothesis draws scalars two ways, as sums of c*q^k built
+with the Z[q, q^-1] fast path and as fractions QScalar(num, den) that
+may have a general denominator; sympy, an independent implementation of
+Q(q), gives the value every operation must have.  The last tests pin
+the canonical form q^v * n/d: a value reached on the fast path is the
+same object, field by field, as the value built from a fraction or
+parsed from text.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from torushecke.scalars import QScalar, parse_scalar, scalar_str  # noqa: E402
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+QS = sympy.Symbol("q")
+DOMAIN = sympy.QQ.frac_field(QS)
+Q_DOM = DOMAIN.gens[0]
+
+ZERO, ONE = QScalar.zero(), QScalar.one()
+
+# {exponent of q: integer coefficient}, a value in Z[q, q^-1]
+laurent_terms = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4),
+                                max_size=4)
+poly_coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+
+def _fast(terms: dict) -> QScalar:
+    """sum c * q^k, on the fast path only."""
+    out = ZERO
+    for k, c in terms.items():
+        out = out + QScalar.from_int(c) * QScalar.q_power(k)
+    return out
+
+
+def _sym_terms(terms: dict):
+    return sum((c * Q_DOM ** k for k, c in terms.items()), DOMAIN.zero)
+
+
+def _sym_poly(cs) -> object:
+    return sum((c * Q_DOM ** i for i, c in enumerate(cs)), DOMAIN.zero)
+
+
+def _sym(x: QScalar):
+    return _sym_poly(x.num) / _sym_poly(x.den)
+
+
+@st.composite
+def scalars(draw):
+    """(QScalar, its sympy value), each built independently."""
+    if draw(st.booleans()):
+        terms = draw(laurent_terms)
+        return _fast(terms), _sym_terms(terms)
+    num = draw(poly_coeffs)
+    den = draw(poly_coeffs.filter(any))
+    return QScalar(num, den), _sym_poly(num) / _sym_poly(den)
+
+
+@SETTINGS
+@given(scalars(), scalars(), st.integers(-3, 3))
+def test_operations_match_sympy(pa, pb, k):
+    (a, sa), (b, sb) = pa, pb
+    assert _sym(a) == sa and _sym(b) == sb
+    assert _sym(a + b) == sa + sb
+    assert _sym(a - b) == sa - sb
+    assert _sym(-a) == -sa
+    assert _sym(a * b) == sa * sb
+    if not b.is_zero():
+        assert _sym(a / b) == sa / sb
+        assert _sym(b.inverse()) == 1 / sb
+        # sympy leaves s ** -k unnormalized, so invert by division
+        assert _sym(b ** k) == (sb ** k if k >= 0 else (1 / sb) ** -k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert a.is_zero() == (sa == 0)
+    assert a.is_one() == (sa == 1)
+
+
+@SETTINGS
+@given(scalars(), scalars(), scalars())
+def test_field_axioms(pa, pb, pc):
+    a, b, c = pa[0], pb[0], pc[0]
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert a + (-a) == ZERO
+    if not a.is_zero():
+        assert a * a.inverse() == ONE
+        assert (b / a) * a == b
+
+
+@SETTINGS
+@given(scalars())
+def test_text_round_trip(pa):
+    a = pa[0]
+    back = parse_scalar(scalar_str(a))
+    assert back == a and hash(back) == hash(a)
+
+
+@SETTINGS
+@given(scalars(), scalars())
+def test_equality_is_sympy_equality(pa, pb):
+    (a, sa), (b, sb) = pa, pb
+    assert (a == b) == (sa == sb)
+    # the same value reached another way is equal and hashes alike
+    other = (a * b + b) / b - ONE if not b.is_zero() else a
+    assert other == a and hash(other) == hash(a)
+
+
+def _assert_canonical(x: QScalar):
+    """q^v * n/d with n(0), d(0) != 0, d > 0 at the top, gcd(n, d) = 1 over Z."""
+    if x.is_zero():
+        assert (x.v, x.n, x.d) == (0, (), (1,))
+        return
+    assert x.n[0] and x.n[-1] and x.d[0] and x.d[-1] > 0
+    n = sympy.Poly(list(reversed(x.n)), QS, domain=sympy.ZZ)
+    d = sympy.Poly(list(reversed(x.d)), QS, domain=sympy.ZZ)
+    assert sympy.gcd(n, d) == sympy.Poly(1, QS, domain=sympy.ZZ)
+    # num/den is the same fraction with q^v moved to one side
+    assert x.num == (0,) * max(x.v, 0) + x.n
+    assert x.den == (0,) * max(-x.v, 0) + x.d
+
+
+@SETTINGS
+@given(laurent_terms, laurent_terms)
+def test_fast_path_value_is_the_canonical_fraction(ta, tb):
+    fast = _fast(ta) * _fast(tb) - _fast(tb)
+    terms: dict = {}
+    for i, a in ta.items():
+        for j, b in tb.items():
+            terms[i + j] = terms.get(i + j, 0) + a * b
+    for j, b in tb.items():
+        terms[j] = terms.get(j, 0) - b
+    # the same value as a fraction in nonnegative powers of q, and as text
+    low = min([0, *terms])
+    num = [0] * (max([0, *terms]) - low + 1)
+    for k, c in terms.items():
+        num[k - low] = c
+    via_fraction = QScalar(num, (0,) * -low + (1,))
+    via_text = parse_scalar("".join(
+        f"{'-' if c < 0 else '+'}{abs(c)}*q^{k}" for k, c in terms.items()) or "0")
+    for x in (fast, via_fraction, via_text):
+        _assert_canonical(x)
+        assert _sym(x) == _sym_terms(terms)
+    assert (fast.v, fast.n, fast.d) == (via_fraction.v, via_fraction.n,
+                                         via_fraction.d)
+    assert fast == via_fraction == via_text
+    assert hash(fast) == hash(via_fraction) == hash(via_text)
+    assert scalar_str(fast) == scalar_str(via_fraction)
+
+
+@SETTINGS
+@given(scalars(), scalars())
+def test_results_are_canonical(pa, pb):
+    a, b = pa[0], pb[0]
+    for x in (a, b, a + b, a - b, a * b, -a):
+        _assert_canonical(x)
+    if not b.is_zero():
+        for x in (a / b, b.inverse(), b ** 2, b ** -3):
+            _assert_canonical(x)

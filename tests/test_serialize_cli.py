@@ -268,3 +268,98 @@ def test_cli_module_entry_point(tmp_path):
     assert json.loads(out.read_text())["ok"] is True
     assert run("verify", "-d", "A2", "--suite", "membership-closure",
                "--samples", "-3").returncode == 2
+
+
+_MONO = {"coef": "1", "exp": [0, 0]}
+
+
+@pytest.mark.parametrize("payload, where", [
+    pytest.param({"terms": 5}, "terms: expected a list", id="terms-int"),
+    pytest.param({"terms": [5]}, r"terms\[0\]: expected an object",
+                 id="term-int"),
+    pytest.param({"terms": [{"num": []}]}, r"terms\[0\]: missing 'word'",
+                 id="word-missing"),
+    pytest.param({"terms": [{"word": "12"}]},
+                 r"terms\[0\]\.word: expected a list", id="word-str"),
+    pytest.param({"terms": [{"word": [], "num": 5}]},
+                 r"terms\[0\]\.num: expected a list", id="num-int"),
+    pytest.param({"terms": [{"word": [], "num": [5]}]},
+                 r"terms\[0\]\.num\[0\]: expected an object", id="num-entry-int"),
+    pytest.param({"terms": [{"word": [], "num": [{"coef": 5, "exp": [0, 0]}]}]},
+                 r"terms\[0\]\.num\[0\]\.coef", id="coef-int"),
+    pytest.param({"terms": [{"word": [], "num": [{"coef": "1", "exp": 5}]}]},
+                 r"terms\[0\]\.num\[0\]\.exp", id="exp-int"),
+    pytest.param({"terms": [{"word": [], "num": [_MONO],
+                             "den": {"root": [1, 0]}}]},
+                 r"terms\[0\]\.den: expected a list", id="den-object"),
+    pytest.param({"terms": [{"word": [], "num": [_MONO], "den": ["x"]}]},
+                 r"terms\[0\]\.den\[0\]: expected an object", id="den-entry-str"),
+    pytest.param({"terms": [{"word": [], "num": [_MONO],
+                             "den": [{"root": [1, 0], "target": "1", "mult": -1}]}]},
+                 r"terms\[0\]\.den\[0\]\.mult", id="mult-negative"),
+    pytest.param({"terms": [{"word": [], "num": [_MONO],
+                             "den": [{"root": [1, 0], "target": "0"}]}]},
+                 r"terms\[0\]\.den\[0\]: denominator target", id="target-zero"),
+])
+def test_element_from_dict_rejects_malformed_shapes(payload, where):
+    with pytest.raises(SerializeError, match=where):
+        element_from_dict(preset_datum("A2"), payload)
+
+
+@pytest.mark.parametrize("datum, root", [
+    ("A2", [2, 0]), ("A2", [1, -1]), ("A2", [0, 0]), ("A2aff", [1, 1, 1]),
+])
+def test_element_from_dict_rejects_non_root_denominators(datum, root):
+    d = preset_datum(datum)
+    payload = {"terms": [{"word": [], "num": [{"coef": "1", "exp": [0] * d.rank}],
+                          "den": [{"root": root, "target": "1"}]}]}
+    with pytest.raises(SerializeError,
+                       match=r"terms\[0\]\.den\[0\]: .* is not a real root"):
+        element_from_dict(d, payload)
+
+
+def test_element_from_dict_accepts_negative_real_roots():
+    # 1/(t^-alpha - 1) is the same function as -t^alpha/(t^alpha - 1)
+    datum = preset_datum("A2")
+    neg = {"terms": [{"word": [], "num": [_MONO],
+                      "den": [{"root": [-1, -1], "target": "1"}]}]}
+    pos = {"terms": [{"word": [], "num": [{"coef": "-1", "exp": [2, 2]}],
+                      "den": [{"root": [1, 1], "target": "1"}]}]}
+    assert element_from_dict(datum, neg) == element_from_dict(datum, pos)
+
+
+@pytest.mark.parametrize("command", ["check", "nf", "mul"])
+@pytest.mark.parametrize("text, needle", [
+    pytest.param('{"terms": 5}', "terms: expected a list", id="terms-int"),
+    pytest.param('{"terms": [{"word": [], "num": 5}]}',
+                 "terms[0].num: expected a list", id="num-int"),
+    pytest.param('{"terms": [{"word": [1], "num": [{"coef": "1", "exp": [0, 0]}],'
+                 ' "den": [{"root": [2, 0], "target": "1"}]}]}',
+                 "terms[0].den[0]: [2, 0] is not a real root", id="den-non-root"),
+])
+def test_cli_malformed_element_files_exit_2(tmp_path, capsys, command, text,
+                                            needle):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli([command, "-d", "A2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert needle in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("preset", ["A1aff-der", "A2aff-der"])
+def test_cli_refuses_membership_on_derived_data(tmp_path, capsys, preset):
+    assert run_cli(["verify", "-d", preset, "--suite", "membership-closure",
+                    "--samples", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "null character" in captured.err
+    assert captured.out == ""
+
+    datum = preset_datum(preset)
+    path = _write_element(tmp_path, "s01.json", sigma_along_word(datum, (0, 1)))
+    for level in ("htilde", "hq"):
+        assert run_cli(["check", "-d", preset, path, "--level", level]) == 2
+        captured = capsys.readouterr()
+        assert "null character" in captured.err
+        assert captured.out == ""
