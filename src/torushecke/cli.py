@@ -10,6 +10,7 @@ environment variable overrides --seed when set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,6 +108,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="torushecke",
@@ -164,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="period ratio, a Python complex literal")
     p.add_argument("--q", default="0.23+0.11j", dest="q_point",
                    help="shift point q on the curve, a Python complex literal")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=1e-9,
                    help="tolerance for the involution deviation")
     p.add_argument("--m-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)

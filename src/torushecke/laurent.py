@@ -16,6 +16,17 @@ the levels from the top.  Restriction to the divisor t^alpha = c folds
 each exponent into the bottom g levels.  Both stay in the original
 coordinates; the forms are cached per character vector.
 
+Most trial divisions are ruled out without dividing.  With
+alpha' = alpha / g, the lines e + Z alpha' split the exponents, and every
+factor of t^alpha - c lies in Q(q)[t^(+-alpha')]; a line that holds exactly
+one term of a polynomial therefore proves it prime to t^alpha - c.  That
+lone-line certificate is integer-only: each term is keyed by one cached
+form w with <w, alpha> = 0.  Reduction skips a factor while the numerator
+has a lone line for it.  Products cross-cancel: both operands are reduced,
+so a factor of one denominator is tried only if the other numerator has
+no lone line for it (a/b * c/d cancels only through gcd(a, d) and
+gcd(c, b)).
+
 On a degenerate (derived) affine realization distinct real roots can
 share a character vector up to sign, so distinct stored factors may cut
 the same divisor; the full realizations used by the verification suites
@@ -202,13 +213,20 @@ class LaurentPoly:
 
 # -- binomial division -----------------------------------------------------
 
-# character vector -> (u0, g): an integer row with <u0, alpha> = g, the
-# content of alpha
-_UNIMOD_CACHE: dict[ExpVec, tuple[ExpVec, int]] = {}
+# character vector -> (u0, g, w): an integer row with <u0, alpha> = g, the
+# content of alpha, and a row w with <w, alpha> = 0 that keys the lines
+# e + Z alpha/g
+_UNIMOD_CACHE: dict[ExpVec, tuple[ExpVec, int, ExpVec]] = {}
+
+# w = v - <v, alpha/g> u0 with v = (1, B, B^2, ...), so <w, e> is <v, r> for
+# the point r of the line through e at level 0; two lines share a key only
+# when their points differ by B/2 or more in some entry
+_LINE_BASE = 1 << 16
 
 
-def _linear_form(d: ExpVec) -> tuple[ExpVec, int]:
-    """u0, g with <u0, d> = g = content of d > 0, by chained extended gcds."""
+def _linear_form(d: ExpVec) -> tuple[ExpVec, int, ExpVec]:
+    """u0, g, w with <u0, d> = g = content of d > 0, by chained extended
+    gcds, and <w, d> = 0."""
     cached = _UNIMOD_CACHE.get(d)
     if cached is not None:
         return cached
@@ -223,9 +241,28 @@ def _linear_form(d: ExpVec) -> tuple[ExpVec, int]:
             u0[i] = y
     if g < 0:
         u0, g = [-v for v in u0], -g
-    out = (tuple(u0), g)
+    v = [_LINE_BASE ** i for i in range(len(d))]
+    s = sum(map(mul, v, d)) // g
+    out = (tuple(u0), g, tuple(x - s * u for x, u in zip(v, u0)))
     _UNIMOD_CACHE[d] = out
     return out
+
+
+def _has_lone_line(poly: LaurentPoly, dchar: ExpVec) -> bool:
+    """Whether some line e + Z alpha' (alpha' = alpha / g) holds one term.
+
+    The Laurent ring is free over Q(q)[x^+-1], x = t^alpha', with the lines
+    as coordinates, and every irreducible factor of t^alpha - c = x^g - c
+    (c != 0) lies in that subring.  A line with one term is a unit
+    coordinate, so then gcd(poly, t^alpha - c) = 1.  Lines that share a
+    key merge, which can hide a lone term but never invent one.
+    """
+    w = _linear_form(dchar)[2]
+    shared: dict[int, bool] = {}
+    for e in poly.terms:
+        k = sum(map(mul, w, e))
+        shared[k] = k in shared
+    return False in shared.values()
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -256,7 +293,7 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
     """
     if poly.is_zero():
         return poly, poly
-    u0, g = _linear_form(alpha_doubled)
+    u0, g, _ = _linear_form(alpha_doubled)
     levels: dict[int, dict[ExpVec, QScalar]] = {}
     for e, c in poly.terms.items():
         levels.setdefault(sum(map(mul, u0, e)), {})[e] = c
@@ -296,7 +333,7 @@ def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     """
     if poly.is_zero():
         return poly
-    u0, g = _linear_form(alpha_doubled)
+    u0, g, _ = _linear_form(alpha_doubled)
     out: dict[ExpVec, QScalar] = {}
     for e, c in poly.terms.items():
         s = sum(map(mul, u0, e)) // g
@@ -343,9 +380,14 @@ class RatFunc:
     """num / prod (t^beta_i - c_i)^{m_i} with beta_i positive real roots.
 
     Denominator keys are (doubled character of beta, target); values are
-    (multiplicity, root coordinates).  Construction reduces: every factor
-    that divides the numerator is cancelled, so a factor that remains is a
-    genuine pole along its divisor.
+    (multiplicity, root coordinates).  Invariant: every stored factor is a
+    genuine pole, that is, no stored binomial divides the numerator.
+    Construction keeps it by reducing: every factor that divides the
+    numerator is cancelled.  The constructors with ``reduce=False`` keep it
+    because they only move a reduced function by a unit or an automorphism:
+    ``weyl_transform`` (the action permutes divisors), negation, and
+    multiplication by a nonzero scalar.  Products lean on it: a factor of
+    one operand can only cancel against the other numerator.
     """
 
     __slots__ = ("datum", "num", "den")
@@ -390,7 +432,7 @@ class RatFunc:
             raise LaurentError("denominator multiplicity must be nonnegative")
         if target.is_zero():
             raise LaurentError("denominator target must be a nonzero scalar")
-        if mult == 0:
+        if mult == 0 or self.is_zero():
             return self
         num = self.num
         den = dict(self.den)
@@ -408,29 +450,34 @@ class RatFunc:
             num = num.scale(scalar).shift(tuple(2 * mult * x for x in pos.char))
         old = den.get(key)
         den[key] = (mult if old is None else old[0] + mult, rep)
-        return RatFunc(self.datum, num, den)
+        out = RatFunc(self.datum, num, den, reduce=False)
+        # the other factors are poles of self, and num is self.num times a unit
+        out._reduce([key])
+        return out
 
     # reduction
 
-    def _reduce(self):
+    def _reduce(self, keys=None):
+        """Cancel the factors in keys (default: all) that divide num.
+
+        A factor is tried only while num has no lone line for it, since a
+        lone line proves the two coprime.
+        """
         num = self.num
         den = self.den
-        for key in list(den):
+        for key in list(den) if keys is None else keys:
             m, rep = den[key]
             dchar, target = key
-            while m > 0 and num.term_count() > 1:
+            while m and not _has_lone_line(num, dchar):
                 q, r = divide_by_binomial(num, dchar, target)
                 if not r.is_zero():
                     break
                 num = q
                 m -= 1
-            if m == 0:
-                del den[key]
-            else:
+            if m:
                 den[key] = (m, rep)
-            if num.is_zero():
-                den.clear()
-                break
+            else:
+                del den[key]
         self.num = num
 
     # queries
@@ -502,8 +549,14 @@ class RatFunc:
         if isinstance(other, QScalar):
             return RatFunc(self.datum, self.num.scale(other), self.den,
                            reduce=False)
+        # Both operands are reduced, so a factor of one side's denominator
+        # cancels only if it shares a factor with the other numerator, which
+        # a lone line of that numerator rules out (cross-cancellation).
         if isinstance(other, LaurentPoly):
-            return RatFunc(self.datum, self.num * other, self.den)
+            out = RatFunc(self.datum, self.num * other, self.den, reduce=False)
+            out._reduce([key for key in out.den
+                         if not _has_lone_line(other, key[0])])
+            return out
         if self.datum is not other.datum:
             raise RootDatumError("mixed root data")
         if self.is_zero() or other.is_zero():
@@ -512,7 +565,12 @@ class RatFunc:
         for key, (m, rep) in other.den.items():
             got = den.get(key)
             den[key] = (m, rep) if got is None else (got[0] + m, rep)
-        return RatFunc(self.datum, self.num * other.num, den)
+        out = RatFunc(self.datum, self.num * other.num, den, reduce=False)
+        out._reduce([
+            key for key in den
+            if not (key in self.den and _has_lone_line(other.num, key[0]))
+            and not (key in other.den and _has_lone_line(self.num, key[0]))])
+        return out
 
     __rmul__ = __mul__
 

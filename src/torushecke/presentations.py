@@ -101,15 +101,30 @@ def quadratic_suite(datum: RootDatum) -> RelationReport:
     return RelationReport(entries)
 
 
+# a_ij a_ji -> m_ij, the order of s_i s_j; larger products give m_ij = oo
+_COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
 def braid_suite(datum: RootDatum, max_length: Optional[int] = None) -> RelationReport:
     """All reduced words of each short element give the same product.
 
     Elements with a single reduced word are skipped; there is nothing
     to compare.  The default bound covers the whole group for finite
-    data and length four for affine data.
+    data and length four for affine data.  The shortest element with two
+    reduced words has length min m_ij, so a bound below every finite m_ij
+    would check nothing and raises ValueError; data with no finite m_ij
+    off the diagonal (A1, A1aff) give an empty report.
     """
     if max_length is None:
         max_length = len(all_positive_roots(datum)) if datum.kind == "finite" else 4
+    a = datum.cartan.entries
+    orders = [_COXETER_ORDER[a[i][j] * a[j][i]] for i in range(datum.n)
+              for j in range(i) if a[i][j] * a[j][i] in _COXETER_ORDER]
+    if orders and max_length < min(orders):
+        raise ValueError(
+            f"braid max_length {max_length} is below the shortest braid "
+            f"relation (m_ij = {min(orders)}); no element has two reduced "
+            "words to compare")
     entries = []
     for w in weyl_ball(datum, max_length):
         if w.length < 2:

@@ -180,6 +180,36 @@ def test_cli_verify_mismatches_exit_2(capsys):
     assert run_cli(["check", "-d", "A1", "/nonexistent/elt.json"]) == 2
 
 
+@pytest.mark.parametrize("datum, bound", [
+    ("A2aff", "1"), ("A2aff", "2"), ("A2aff", "-3"), ("B2", "3"), ("G2", "5")])
+def test_cli_braid_refuses_a_bound_that_checks_nothing(datum, bound, capsys):
+    assert run_cli(["verify", "-d", datum, "--suite", "braid",
+                    "--max-length", bound]) == 2
+    captured = capsys.readouterr()
+    assert "shortest braid relation" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_braid_keeps_reports_without_finite_orders(capsys):
+    # every m_ij of A1aff is infinite: nothing to compare at any length
+    assert run_cli(["verify", "-d", "A1aff", "--suite", "braid",
+                    "--max-length", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "entries": [], "ok": True, "schema": "1", "suite": "braid"}
+    assert run_cli(["verify", "-d", "A2aff", "--suite", "braid",
+                    "--max-length", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 3
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf", "x"])
+def test_cli_elliptic_rejects_tolerances_that_are_not_finite_positive(
+        tol, capsys):
+    assert run_cli(["elliptic", "--suite", "involution", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "finite positive number" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
