@@ -135,8 +135,13 @@ class AlgebraElement:
         return out
 
     def __eq__(self, other):
+        """Termwise on one datum and support; otherwise by subtraction,
+        which raises on mixed data."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if self.datum is other.datum and a.keys() == b.keys():
+            return all(f == b[w] for w, f in a.items())
         return (self - other).is_zero()
 
     def apply_to_function(self, f: RatFunc) -> RatFunc:

@@ -116,7 +116,15 @@ class EllipticCurveParams:
         self.omega1 = complex(self.omega1)
         self.omega2 = complex(self.omega2)
         self.q_point = complex(self.q_point)
+        for name in ("omega1", "omega2", "q_point"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise EllipticError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        if self.omega1 == 0:
+            raise EllipticError("omega1 must be nonzero")
         tau = self.omega2 / self.omega1
+        if not cmath.isfinite(tau):
+            raise EllipticError("period ratio must be finite")
         if tau.imag <= 0:
             raise EllipticError("period ratio must have positive imaginary part")
         if self._near_lattice(2 * self.q_point):

@@ -27,10 +27,25 @@ so a factor of one denominator is tried only if the other numerator has
 no lone line for it (a/b * c/d cancels only through gcd(a, d) and
 gcd(c, b)).
 
-On a degenerate (derived) affine realization distinct real roots can
-share a character vector up to sign, so distinct stored factors may cut
-the same divisor; the full realizations used by the verification suites
-never do, and ``check_membership`` refuses derived data.
+On data that are not ``relaxed`` the reduced form is canonical.  Simple
+roots are Z-independent and positive real roots pairwise non-proportional,
+so the binomials of two distinct keys are coprime; then two reduced forms
+of one function (no stored binomial divides the numerator) have the same
+keys, multiplicities and numerator (if b^m and b^n, m > n, exactly divide
+the two denominators, cross-multiplying puts b in a numerator).  Three
+things use it:
+
+- sums: a key whose multiplicities differ in the operands cannot cancel,
+  so only keys of equal multiplicity are tried;
+- equality: reduced forms are compared directly, with no subtraction;
+- twists: a function never changes once built, so ``weyl_transform``
+  keeps each image on the instance.
+
+On a degenerate (derived, ``relaxed``) affine realization distinct real
+roots can share a character vector up to sign, so distinct stored factors
+may cut the same divisor: sums there try every key and equality
+subtracts.  The full realizations used by the verification suites never
+do, and ``check_membership`` refuses derived data.
 """
 
 from __future__ import annotations
@@ -110,6 +125,8 @@ class LaurentPoly:
         return self.terms.get(tuple(exp), _ZERO)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other.rank != self.rank:
+            raise LaurentError("Laurent polynomials of different ranks")
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
@@ -138,6 +155,10 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, QScalar):
             return self.scale(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if other.rank != self.rank:
+            raise LaurentError("Laurent polynomials of different ranks")
         out: dict[ExpVec, QScalar] = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -354,7 +375,7 @@ def expand_den_factor(rank: int, char_doubled: ExpVec, target: QScalar,
                       mult: int) -> LaurentPoly:
     """(t^alpha - c)^mult as an honest Laurent polynomial."""
     base = LaurentPoly(rank, {tuple(char_doubled): _ONE, (0,) * rank: -target})
-    return base ** mult
+    return base if mult == 1 else base ** mult
 
 
 # -- rational functions ----------------------------------------------------
@@ -387,10 +408,15 @@ class RatFunc:
     because they only move a reduced function by a unit or an automorphism:
     ``weyl_transform`` (the action permutes divisors), negation, and
     multiplication by a nonzero scalar.  Products lean on it: a factor of
-    one operand can only cancel against the other numerator.
+    one operand can only cancel against the other numerator.  Unless the
+    datum is ``relaxed``, distinct keys cut coprime binomials, so the
+    reduced form is canonical: sums try only keys of equal multiplicity,
+    ``==`` compares keys, multiplicities and numerators, and each
+    ``weyl_transform`` image is kept on the instance.
     """
 
-    __slots__ = ("datum", "num", "den")
+    # _twists: {group element: ^w self}, created by the first weyl_transform
+    __slots__ = ("datum", "num", "den", "_twists")
 
     def __init__(self, datum, num: LaurentPoly, den=None, reduce: bool = True):
         self.datum = datum
@@ -507,37 +533,46 @@ class RatFunc:
 
     # arithmetic
 
-    def _common(self, other: "RatFunc"):
-        if self.datum is not other.datum:
-            raise RootDatumError("mixed root data")
-        union: dict = {}
-        for key, (m, rep) in self.den.items():
-            union[key] = (m, rep)
-        for key, (m, rep) in other.den.items():
-            got = union.get(key)
-            if got is None or got[0] < m:
-                union[key] = (m, rep)
-        a_extra = LaurentPoly.one(self.datum.rank)
-        b_extra = LaurentPoly.one(self.datum.rank)
-        for key, (m, _rep) in union.items():
-            da = m - (self.den[key][0] if key in self.den else 0)
-            db = m - (other.den[key][0] if key in other.den else 0)
-            if da:
-                a_extra = a_extra * expand_den_factor(
-                    self.datum.rank, key[0], key[1], da)
-            if db:
-                b_extra = b_extra * expand_den_factor(
-                    self.datum.rank, key[0], key[1], db)
-        return union, a_extra, b_extra
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """Sum over the union denominator (maximal multiplicities).
+
+        A key whose multiplicities differ cannot cancel: if b^m and b^n
+        (m > n) exactly divide the two denominators, b divides the new
+        numerator only if it divides the first one, since the other
+        factors are prime to b.  So only keys of equal multiplicity are
+        tried, except on relaxed data, where two keys can share a divisor.
+        """
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        union, a_extra, b_extra = self._common(other)
-        num = self.num * a_extra + other.num * b_extra
-        return RatFunc(self.datum, num, union)
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
+        rank = self.datum.rank
+        union = dict(self.den)
+        for key, (m, rep) in other.den.items():
+            got = union.get(key)
+            if got is None or got[0] < m:
+                union[key] = (m, rep)
+        a_extra = b_extra = None
+        equal = []
+        for key, (m, _rep) in union.items():
+            da = m - self.den.get(key, (0,))[0]
+            db = m - other.den.get(key, (0,))[0]
+            if da:
+                fac = expand_den_factor(rank, key[0], key[1], da)
+                a_extra = fac if a_extra is None else a_extra * fac
+            elif not db:
+                equal.append(key)
+            if db:
+                fac = expand_den_factor(rank, key[0], key[1], db)
+                b_extra = fac if b_extra is None else b_extra * fac
+        a = self.num if a_extra is None else self.num * a_extra
+        b = other.num if b_extra is None else other.num * b_extra
+        out = RatFunc(self.datum, a + b, union, reduce=False)
+        if out.den:
+            out._reduce(None if self.datum.relaxed else equal)
+        return out
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(self.datum, -self.num, self.den, reduce=False)
@@ -575,8 +610,14 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Compare reduced forms, which are canonical unless data are relaxed."""
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.datum is other.datum and not self.datum.relaxed:
+            a, b = self.den, other.den
+            return (len(a) == len(b)
+                    and all(b.get(key, (0,))[0] == m for key, (m, _) in a.items())
+                    and self.num == other.num)
         return (self - other).is_zero()
 
     def inverse(self, peel=None) -> "RatFunc":
@@ -621,10 +662,19 @@ class RatFunc:
         """The twisted action ^w f: exponents move by w on characters.
 
         A reduced function stays reduced (the action permutes divisors),
-        so no cancellation pass is needed here.
+        so no cancellation pass is needed here.  A function does not
+        change once built, so each image is kept on the instance: the
+        cached generators are twisted once per group element.
         """
         from . import rootdata
 
+        try:
+            memo = self._twists
+        except AttributeError:
+            memo = self._twists = {}
+        got = memo.get(w)
+        if got is not None:
+            return got
         cmat = rootdata.char_matrix(self.datum, w)
         num = self.num.transform_exponents(cmat)
         den: dict = {}
@@ -642,7 +692,8 @@ class RatFunc:
                     tuple(2 * m * x for x in pos.char))
             got = den.get(key)
             den[key] = (m, rep2) if got is None else (got[0] + m, rep2)
-        return RatFunc(self.datum, num, den, reduce=False)
+        out = memo[w] = RatFunc(self.datum, num, den, reduce=False)
+        return out
 
     def __repr__(self):
         if not self.den:

@@ -70,11 +70,10 @@ class RelationReport:
 
 def _entry(relation: str, instance: str, lhs: AlgebraElement,
            rhs: AlgebraElement, literal: bool = False) -> ReportEntry:
-    diff = lhs - rhs
-    if diff.is_zero():
+    if lhs == rhs:
         return ReportEntry(relation, instance, "pass")
     status = "expected-fail" if literal else "fail"
-    return ReportEntry(relation, instance, status, diff)
+    return ReportEntry(relation, instance, status, lhs - rhs)
 
 
 def _fmt_word(word: Sequence[int]) -> str:
@@ -133,16 +132,14 @@ def braid_suite(datum: RootDatum, max_length: Optional[int] = None) -> RelationR
         if len(words) < 2:
             continue
         base = sigma_along_word(datum, words[0])
-        bad = None
+        inst = f"w={_fmt_word(w.word)}"
         for word in words[1:]:
-            if not (sigma_along_word(datum, word) - base).is_zero():
-                bad = word
+            other = sigma_along_word(datum, word)
+            if other != base:
+                entries.append(ReportEntry("braid", inst, "fail", other - base))
                 break
-        if bad is None:
-            entries.append(ReportEntry("braid", f"w={_fmt_word(w.word)}", "pass"))
         else:
-            diff = sigma_along_word(datum, bad) - base
-            entries.append(ReportEntry("braid", f"w={_fmt_word(w.word)}", "fail", diff))
+            entries.append(ReportEntry("braid", inst, "pass"))
     return RelationReport(entries)
 
 

@@ -187,6 +187,17 @@ def test_params_validation():
         assert abs(params.reduce(red - z)) <= 1e-9
 
 
+def test_params_reject_non_finite_or_degenerate_periods():
+    nan, inf = float("nan"), float("inf")
+    for periods in ((0.0, 1j), (nan, 1j), (1.0, complex(0, nan)),
+                    (1.0, complex(0, inf)), (5e-324, 1j)):
+        with pytest.raises(EllipticError):
+            EllipticCurveParams(*periods, 0.23 + 0.11j)
+    for q_point in (nan, complex(0.2, inf)):
+        with pytest.raises(EllipticError):
+            EllipticCurveParams(1.0, 1j, q_point)
+
+
 def test_operator_suites():
     params = _params(SQUARE)
     for name, count in (("A1", 1), ("A2", 2)):

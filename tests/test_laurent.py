@@ -204,3 +204,21 @@ def test_half_characters_multiply():
     lam = (1, -1)
     half = RatFunc.character(datum, lam, half=True)
     assert half * half == RatFunc.character(datum, lam)
+
+
+def test_poly_times_function_defers_to_the_function():
+    datum = preset_datum("A2")
+    alpha = datum.simple_root_obj(1)
+    f = RatFunc.one(datum).with_den_factor(alpha, Q ** 2)
+    binom = expand_den_factor(datum.rank, tuple(2 * x for x in alpha.char),
+                              Q ** 2, 1)
+    assert LaurentPoly.one(2) * RatFunc.one(datum) == RatFunc.one(datum)
+    assert binom * f == f * binom == RatFunc.one(datum)
+
+
+def test_mixed_ranks_raise():
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(LaurentError):
+            op(LaurentPoly.one(2), LaurentPoly.one(3))
+        with pytest.raises(LaurentError):
+            op(LaurentPoly.zero(3), LaurentPoly.monomial(2, (1, 1)))

@@ -7,9 +7,11 @@ polynomial arithmetic over Q(q), decides whether the binomial divides
 the polynomial, whether two polynomials agree on the divisor, and
 whether the two are coprime when the lone-line certificate says so.  The
 variable x_i of the sympy side is t^(e_i / 2), so the doubled exponent
-vectors of the library are its exponents as they stand.  Products of
-rational functions are checked against plain trial division of the
-whole product by every denominator factor.
+vectors of the library are its exponents as they stand.  Products and
+sums of rational functions are checked against plain trial division of
+the whole numerator by every denominator factor, equality against
+subtraction and a sympy cross-multiplication, and the twists kept on a
+function against fresh ones.
 """
 
 import functools
@@ -23,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
+from torushecke.algebra import AlgebraElement  # noqa: E402
 from torushecke.laurent import (  # noqa: E402
     LaurentPoly,
     RatFunc,
@@ -32,8 +35,10 @@ from torushecke.laurent import (  # noqa: E402
     restrict_to_divisor,
 )
 from torushecke.rootdata import (  # noqa: E402
+    canonicalize_word,
     positive_real_roots_up_to_height,
     preset_datum,
+    weyl_ball,
 )
 from torushecke.scalars import QScalar  # noqa: E402
 
@@ -179,6 +184,22 @@ def _qring(rank):
     return ring(f"q,x0:{rank}", sympy.QQ)[0]
 
 
+def _in_qx(poly: LaurentPoly, shift):
+    """(P, L) in Q[q, x] with P / L = poly times t^shift, L in Q[q]."""
+    ring_q = _qring(poly.rank)
+    q = ring_q.gens[0]
+
+    def in_q(coeffs):
+        return sum((k * q ** i for i, k in enumerate(coeffs)), ring_q.zero)
+
+    terms = [(tuple(k + s for k, s in zip(e, shift)), in_q(c.num), in_q(c.den))
+             for e, c in poly.terms.items()]
+    lcm = functools.reduce(lambda a, b: a.lcm(b), [d for *_, d in terms],
+                           ring_q.one)
+    return sum((n * lcm.exquo(d) * ring_q.from_dict({(0,) + e: 1})
+                for e, n, d in terms), ring_q.zero), lcm
+
+
 def _cleared(poly: LaurentPoly):
     """poly, shifted to a polynomial and cleared of denominators, in Q[q, x].
 
@@ -186,18 +207,7 @@ def _cleared(poly: LaurentPoly):
     polynomials are coprime over Q(q) exactly when their gcd in Q[q, x]
     has degree 0 in x.  That gcd is far cheaper than one over Q(q).
     """
-    ring_q = _qring(poly.rank)
-    q = ring_q.gens[0]
-
-    def in_q(coeffs):
-        return sum((k * q ** i for i, k in enumerate(coeffs)), ring_q.zero)
-
-    shift = _clearing(poly)
-    terms = [(tuple(k + s for k, s in zip(e, shift)), in_q(c.num), in_q(c.den))
-             for e, c in poly.terms.items()]
-    lcm = functools.reduce(lambda a, b: a.lcm(b), [d for *_, d in terms])
-    return sum((n * lcm.exquo(d) * ring_q.from_dict({(0,) + e: 1})
-                for e, n, d in terms), ring_q.zero)
+    return _in_qx(poly, _clearing(poly))[0]
 
 
 @SETTINGS
@@ -312,3 +322,142 @@ def test_products_match_full_trial_division(case):
     _same(f * g, *_trial_divided(f.num * g.num, merged))
     if not poly.is_zero():
         _same(f * poly, *_trial_divided(f.num * poly, f.den))
+
+
+# G2 and both -der presets as well: the -der data store one divisor under
+# two keys, so their sums still try every key
+SUM_DATA = ("A2", "B2", "G2", "A2aff", "A1aff-der", "A2aff-der")
+
+
+@st.composite
+def sum_cases(draw, name):
+    """(f, g, h) reduced on the named datum.
+
+    g shares a key with f at equal or unequal multiplicity, or is h - f,
+    so that f + g cancels back down to h.
+    """
+    datum = preset_datum(name)
+    roots = positive_real_roots_up_to_height(datum, 2)
+    roots = roots + [r.negate() for r in roots[:2]]
+    f, g, h = (draw(reduced_functions(datum, roots)) for _ in range(3))
+    how = draw(st.sampled_from(("none", "equal", "unequal", "cancel")))
+    if how == "cancel":
+        g = h - f
+    elif how != "none":
+        root = draw(st.sampled_from(roots))
+        target = draw(st.sampled_from(TARGETS))
+        m = draw(st.integers(1, 2))
+        f = f.with_den_factor(root, target, m)
+        g = g.with_den_factor(root, target, m if how == "equal" else 3 - m)
+    return f, g, h
+
+
+def _summed(f: RatFunc, g: RatFunc):
+    """f + g over the union denominator, every union key trial-divided."""
+    rank = f.datum.rank
+    union = dict(f.den)
+    for key, (m, rep) in g.den.items():
+        if key not in union or union[key][0] < m:
+            union[key] = (m, rep)
+    nums = []
+    for x in (f, g):
+        extra = LaurentPoly.one(rank)
+        for key, (m, _rep) in union.items():
+            gap = m - x.pole_mult(*key)
+            if gap:
+                extra = extra * expand_den_factor(rank, key[0], key[1], gap)
+        nums.append(x.num * extra)
+    num = nums[0] + nums[1]
+    return _trial_divided(num, union) if not num.is_zero() else (num, {})
+
+
+@pytest.mark.parametrize("name", SUM_DATA)
+@settings(SETTINGS, max_examples=20)
+@given(data=st.data())
+def test_sums_match_full_trial_division(name, data):
+    f, g, h = data.draw(sum_cases(name))
+    _same(f + g, *_summed(f, g))
+    _same(g + f, *_summed(g, f))
+    _same(f - h, *_summed(f, -h))
+
+
+def _sym_equal(f: RatFunc, g: RatFunc) -> bool:
+    """num_f * den_g == num_g * den_f, decided by sympy in Q[q, x].
+
+    Each side is shifted to a polynomial and cleared of denominators in q;
+    the cleared denominators then cross over as well.
+    """
+    rank = f.datum.rank
+    zero = (0,) * rank
+
+    def den(x):
+        out, scale, shift = _qring(rank).one, _qring(rank).one, zero
+        for (dchar, target), (m, _rep) in x.den.items():
+            binom = LaurentPoly(rank, {dchar: ONE, zero: -target})
+            nb = _clearing(binom)
+            b, lcm = _in_qx(binom, nb)
+            out, scale = out * b ** m, scale * lcm ** m
+            shift = tuple(s + m * k for s, k in zip(shift, nb))
+        return out, scale, shift
+
+    (den_f, lf, sf), (den_g, lg, sg) = den(f), den(g)
+    n = tuple(map(max, _clearing(f.num), _clearing(g.num)))
+    num_f, cf = _in_qx(f.num, tuple(a + b for a, b in zip(n, sf)))
+    num_g, cg = _in_qx(g.num, tuple(a + b for a, b in zip(n, sg)))
+    return num_f * den_g * cg * lf == num_g * den_f * cf * lg
+
+
+# sympy products over Q[q, x] dominate here, so fewer examples
+@pytest.mark.parametrize("name", SUM_DATA)
+@settings(SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_equality_agrees_with_subtraction(name, data):
+    f, g, h = data.draw(sum_cases(name))
+    datum = f.datum
+    s = canonicalize_word(datum, (datum.labels[0],))
+    pairs = [(f, g), (f, (f + h) - h), (g + f, f + g), (f, -f),
+             (h, f + (h - f)), (f * Q, f)]
+    for (_dchar, target), (_m, rep) in f.den.items():
+        # the same numerator and keys, one pole order higher
+        pairs.append((f, f.with_den_factor(datum.root_from_coords(rep), target)))
+    for a, b in pairs:
+        same = (a - b).is_zero()
+        assert (a == b) is same
+        assert (a != b) is not same
+        assert _sym_equal(a, b) is same
+        x = AlgebraElement(datum, {datum.identity: a, s: h})
+        y = AlgebraElement(datum, {datum.identity: b, s: h})
+        z = AlgebraElement(datum, {datum.identity: b})
+        for u, v in ((x, y), (x, z), (y, z)):
+            assert (u == v) is (u - v).is_zero()
+
+
+def test_equality_on_relaxed_data_sees_one_divisor_under_two_keys():
+    # on A1aff-der, t^alpha0 = t^-alpha1: 1/(t^alpha0 - c) is
+    # (-1/c) t^alpha1 / (t^alpha1 - 1/c), stored under another key
+    datum = preset_datum("A1aff-der")
+    a0, a1 = datum.simple_root_obj(0), datum.simple_root_obj(1)
+    assert a0.char == tuple(-x for x in a1.char)
+    c = Q ** 2
+    f = RatFunc.one(datum).with_den_factor(a0, c)
+    g = RatFunc.character(datum, a1.char, -c.inverse()).with_den_factor(
+        a1, c.inverse())
+    assert f.den.keys() != g.den.keys()
+    assert f == g and _sym_equal(f, g)
+    s = canonicalize_word(datum, (1,))
+    assert AlgebraElement(datum, {s: f}) == AlgebraElement(datum, {s: g})
+
+
+@pytest.mark.parametrize("name", SUM_DATA)
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data(), pick=st.integers(0, 1000))
+def test_kept_twists_equal_fresh_ones(name, data, pick):
+    f, g, _h = data.draw(sum_cases(name))
+    datum = f.datum
+    ball = list(weyl_ball(datum, 3))
+    for x in (f, g, f + g):
+        w = ball[pick % len(ball)]
+        first = x.weyl_transform(w)
+        assert x.weyl_transform(w) is first
+        fresh = RatFunc(datum, x.num, x.den, reduce=False).weyl_transform(w)
+        _same(first, fresh.num, fresh.den)

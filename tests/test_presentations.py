@@ -1,5 +1,6 @@
 """Relation suites and their report plumbing."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -19,7 +20,9 @@ from torushecke.presentations import (
     verify_daha_suite,
     verify_finite_suite,
 )
-from torushecke.rootdata import preset_datum
+from torushecke.demazure import sigma_along_word
+from torushecke.rootdata import preset_datum, reduced_words, weyl_ball
+from torushecke.serialize import dump_report, element_to_dict
 
 
 def _tally(report):
@@ -88,6 +91,25 @@ def test_braid_suite_affine():
     rep = braid_suite(preset_datum("A2aff"), max_length=4)
     assert rep.ok
     assert len(rep.entries) > 0
+
+
+def test_braid_suite_relaxed_affine_frozen():
+    # A2aff-der stores one divisor under two keys (alpha0 and the highest
+    # root share a character up to sign), so its sums reduce every key;
+    # report and every sigma along every reduced word are frozen
+    datum = preset_datum("A2aff-der")
+    rep = braid_suite(datum, max_length=5)
+    assert rep.ok and len(rep.entries) == 18
+    assert hashlib.sha256(dump_report({"entries": rep.to_list()}).encode()) \
+        .hexdigest() == ("e23592f48faf2c119679418bb87b2b7c"
+                         "2a37cfd57c4adbfe9fe1ab5c2ad9501a")
+    h = hashlib.sha256()
+    for w in weyl_ball(datum, 5):
+        for word in reduced_words(datum, w):
+            x = sigma_along_word(datum, word)
+            h.update(dump_report(element_to_dict(x)).encode())
+    assert h.hexdigest() == ("3db0160f3134d984546bafefaefffb3a"
+                             "3003412e6c687157f4d2ced43cba6793")
 
 
 def test_report_entry_witness_serialization():

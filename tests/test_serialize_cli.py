@@ -210,6 +210,16 @@ def test_cli_elliptic_rejects_tolerances_that_are_not_finite_positive(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["--tau", "nanj"], ["--tau", "1e400j"], ["--q", "nan"],
+    ["--q", "infj"], ["--tau", "nan+1j"]])
+def test_cli_elliptic_rejects_non_finite_periods_and_shifts(args, capsys):
+    assert run_cli(["elliptic", "--suite", "prop46", *args]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
