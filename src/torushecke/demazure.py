@@ -139,53 +139,36 @@ def make_theta(datum: RootDatum, w: WeylElt) -> RatFunc:
     return out
 
 
-def make_delta(datum: RootDatum, zeros: str = "q^-2") -> RatFunc:
+def make_delta(datum: RootDatum) -> RatFunc:
     """The Weyl-denominator kernel, a Laurent polynomial in half characters.
 
-    zeros="q^-2" (the orientation every identity here is verified
-    against) takes the factor q^{-1} t^{-alpha/2} - q t^{alpha/2} per
-    positive root, which vanishes on t^alpha = q^{-2}; zeros="q^2" takes
-    the mirrored factor instead.  Finite data only.
+    It takes the factor q^{-1} t^{-alpha/2} - q t^{alpha/2} per positive
+    root, which vanishes on t^alpha = q^{-2}.  Finite data only.
     """
-    if zeros not in ("q^-2", "q^2"):
-        raise ValueError("zeros must be 'q^-2' or 'q^2'")
     out = LaurentPoly.one(datum.rank)
     for alpha in all_positive_roots(datum):
-        if zeros == "q^-2":
-            fac = LaurentPoly(datum.rank, {
-                tuple(-x for x in alpha.char): _QINV,
-                tuple(alpha.char): -_Q,
-            })
-        else:
-            fac = LaurentPoly(datum.rank, {
-                tuple(alpha.char): _QINV,
-                tuple(-x for x in alpha.char): -_Q,
-            })
-        out = out * fac
+        out = out * LaurentPoly(datum.rank, {
+            tuple(-x for x in alpha.char): _QINV,
+            tuple(alpha.char): -_Q,
+        })
     return RatFunc.from_poly(datum, out)
 
 
-def make_delta_inverse(datum: RootDatum, zeros: str = "q^-2") -> RatFunc:
+def make_delta_inverse(datum: RootDatum) -> RatFunc:
     """1/Delta in factored form: each kernel factor is a unit times a binomial.
 
     q^{-1} t^{-alpha/2} - q t^{alpha/2} = -q t^{-alpha/2} (t^alpha - q^{-2}),
     so the inverse is an honest rational function with denominator factors
     on the matching divisors.
     """
-    if zeros not in ("q^-2", "q^2"):
-        raise ValueError("zeros must be 'q^-2' or 'q^2'")
     roots = all_positive_roots(datum)
     rho_doubled = tuple(sum(a.char[k] for a in roots) for k in range(datum.rank))
-    # q^-1 t^{-a/2} - q t^{a/2} = (-q) t^{-a/2} (t^a - q^-2)
-    # q^-1 t^{a/2} - q t^{-a/2} = q^-1 t^{-a/2} (t^a - q^2)
-    target = _QM2 if zeros == "q^-2" else QScalar.q_power(2)
-    unit = (-_Q if zeros == "q^-2" else _QINV) ** (-len(roots))
     out = RatFunc(
         datum,
-        LaurentPoly.monomial(datum.rank, rho_doubled, unit),
+        LaurentPoly.monomial(datum.rank, rho_doubled, (-_Q) ** (-len(roots))),
         None, reduce=False)
     for alpha in roots:
-        out = out.with_den_factor(alpha, target)
+        out = out.with_den_factor(alpha, _QM2)
     return out
 
 

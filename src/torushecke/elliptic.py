@@ -127,6 +127,12 @@ class EllipticCurveParams:
             raise EllipticError("period ratio must be finite")
         if tau.imag <= 0:
             raise EllipticError("period ratio must have positive imaginary part")
+        # once the nome underflows, every theta constant vanishes and sn
+        # cannot be normalized; a nonzero nome has a nonzero q^{1/4}
+        if self.nome == 0:
+            raise EllipticError(
+                f"period ratio {tau} has too large an imaginary part: "
+                "the nome exp(i*pi*tau) underflows to 0")
         if self._near_lattice(2 * self.q_point):
             raise EllipticError("2*q_point lies on the lattice")
         c = self.q_shift

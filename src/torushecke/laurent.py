@@ -620,44 +620,6 @@ class RatFunc:
                     and self.num == other.num)
         return (self - other).is_zero()
 
-    def inverse(self, peel=None) -> "RatFunc":
-        """Invert a unit: denominator factors move up, numerator must reduce
-        to a single monomial, possibly after peeling listed binomials.
-
-        peel: optional list of (root, target) pairs to try dividing out of
-        the numerator first; each peeled binomial joins the denominator of
-        the inverse.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        num = self.num
-        out = RatFunc.one(self.datum)
-        for (dchar, target), (m, _rep) in self.den.items():
-            out = out * RatFunc(
-                self.datum,
-                expand_den_factor(self.datum.rank, dchar, target, m),
-                None, reduce=False)
-        new_den: list = []
-        if peel:
-            for root, target in peel:
-                dchar = tuple(2 * x for x in root.char)
-                while num.term_count() > 1:
-                    q, r = divide_by_binomial(num, dchar, target)
-                    if not r.is_zero():
-                        break
-                    num = q
-                    new_den.append((root, target))
-        if num.term_count() != 1:
-            raise LaurentError(
-                "inverse needs a monomial numerator (after peeling); "
-                f"got {num.term_count()} terms")
-        (exp, coef), = num.terms.items()
-        out = RatFunc(self.datum, out.num.shift(tuple(-x for x in exp))
-                      .scale(coef.inverse()), out.den, reduce=False)
-        for root, target in new_den:
-            out = out.with_den_factor(root, target)
-        return out
-
     def weyl_transform(self, w) -> "RatFunc":
         """The twisted action ^w f: exponents move by w on characters.
 

@@ -83,48 +83,34 @@ def _dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            if f:
-                for j in range(k, n):
-                    rows[i][j] -= f * rows[k][j]
-    return det
+def _eliminate(entries) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
+    """Gauss-Jordan elimination over Q of an integer matrix.
 
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if piv is None:
+    Column by column, the first row not yet used with a nonzero entry
+    becomes the pivot row and clears that column from every other row;
+    rows are never exchanged.  Returns the reduced rows and the (row,
+    column) of each pivot in column order.  The rank is the number of
+    pivots, and a kernel vector is read from the reduced rows.  While the
+    pivots sit on the diagonal, row operations keep each leading minor, so
+    the k-th leading minor is the product of the first k pivots.
+    """
+    rows = [[Fraction(x) for x in row] for row in entries]
+    pivots: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for col in range(len(rows[0]) if rows else 0):
+        r = next((i for i, row in enumerate(rows)
+                  if i not in used and row[col]), None)
+        if r is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                for j in range(col, n):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-        if r == m:
-            break
-    return r
+        used.add(r)
+        pivots.append((r, col))
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col] / prow[col]
+                for j in range(col, len(row)):
+                    row[j] -= f * prow[j]
+    return rows, pivots
 
 
 class CartanMatrix:
@@ -205,40 +191,24 @@ class CartanMatrix:
 def _leading_minors_positive(A: CartanMatrix) -> bool:
     # With B = diag(d) A symmetric and d > 0, A's leading minors carry the
     # same signs as B's, so this is Sylvester's criterion for the
-    # symmetrized form.
-    for k in range(1, A.n + 1):
-        rows = [[Fraction(A.entries[i][j]) for j in range(k)] for i in range(k)]
-        if _det(rows) <= 0:
-            return False
-    return True
+    # symmetrized form.  The minors are all positive exactly when every
+    # pivot lies on the diagonal and is positive.
+    rows, pivots = _eliminate(A.entries)
+    return pivots == [(k, k) for k in range(A.n)] and all(
+        rows[k][k] > 0 for k in range(A.n))
 
 
-def _null_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
+def _null_vector(entries) -> list[Fraction] | None:
     """A nonzero kernel vector of a square matrix with 1-dim kernel, or None."""
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                for j in range(n):
-                    rows[i][j] -= f * rows[r][j]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _eliminate(entries)
+    free = sorted(set(range(len(rows))) - {col for _, col in pivots})
     if len(free) != 1:
         return None
     c0 = free[0]
-    v = [Fraction(0)] * n
+    v = [Fraction(0)] * len(rows)
     v[c0] = Fraction(1)
-    for col, r_idx in pivots.items():
-        v[col] = -rows[r_idx][c0] / rows[r_idx][col]
+    for r, col in pivots:
+        v[col] = -rows[r][c0] / rows[r][col]
     return v
 
 
@@ -262,8 +232,7 @@ def classify_cartan(A: CartanMatrix) -> str:
     """Return 'finite', 'affine' (untwisted), or raise for anything else."""
     if _leading_minors_positive(A):
         return "finite"
-    rows = [[Fraction(x) for x in row] for row in A.entries]
-    if _det(rows) != 0:
+    if len(_eliminate(A.entries)[1]) == A.n:
         raise CartanMatrixError("matrix is neither finite nor affine untwisted")
     if A.n < 2 or not A.is_connected():
         raise CartanMatrixError("affine input must be connected of size >= 2")
@@ -435,14 +404,11 @@ class RootDatum:
                         f"pairing <coroot_{i}, root_{j}> does not match the Cartan matrix"
                     )
         if not self.relaxed:
-            rows = [[Fraction(x) for x in v] for v in self.simple_roots]
-            if _rank(rows) != n:
+            if len(_eliminate(self.simple_roots)[1]) != n:
                 raise RootDatumError("simple roots are not Z-independent")
-            crows = [[Fraction(x) for x in v] for v in self.simple_coroots]
-            if _rank(crows) != n:
+            if len(_eliminate(self.simple_coroots)[1]) != n:
                 raise RootDatumError("simple coroots are not Z-independent")
-            arows = [[Fraction(x) for x in row] for row in self.cartan.entries]
-            if r + _rank(arows) != 2 * n:
+            if r + len(_eliminate(self.cartan.entries)[1]) != 2 * n:
                 raise RootDatumError(
                     f"lattice rank {r} violates rank(X) + rank(A) = 2n"
                 )
@@ -520,10 +486,8 @@ PRESET_MATRICES = {
 
 
 def _affine_invariants(A: CartanMatrix) -> tuple[list[int], list[int]]:
-    rows = [[Fraction(x) for x in row] for row in A.entries]
-    marks = _null_vector(rows)
-    cols = [[Fraction(A.entries[j][i]) for j in range(A.n)] for i in range(A.n)]
-    comarks = _null_vector(cols)
+    marks = _null_vector(A.entries)
+    comarks = _null_vector(list(zip(*A.entries)))
     if marks is None or comarks is None:
         raise CartanMatrixError("affine matrix must have a one-dimensional kernel")
     marks_i = _primitive_int_vector(marks)

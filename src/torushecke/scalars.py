@@ -11,7 +11,9 @@ Nearly every scalar the library meets lies in Z[q, q^-1], that is d = (1,).
 Those take a fast path: a product adds valuations and multiplies integer
 polynomials (Z[q] is a domain, so there is nothing to trim or cancel), a
 sum aligns valuations and strips the low zeros a cancellation leaves.
-Only a general denominator such as (q-1)/(q+1) runs the gcd reduction.
+Only a general denominator such as (q-1)/(q+1) runs the gcd reduction:
+a primitive polynomial remainder sequence over Z, so even that path
+never leaves integer arithmetic.
 
 The read-only ``num`` and ``den`` give the value as a reduced fraction in
 nonnegative powers of q: q^v joins the numerator when v > 0 and the
@@ -30,7 +32,6 @@ denominator when v < 0.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
@@ -96,68 +97,63 @@ def _content(a: Coeffs) -> int:
     return g
 
 
+def _primitive(a: Coeffs) -> Coeffs:
+    c = _content(a)  # 0 for the zero polynomial
+    return a if c <= 1 else tuple(x // c for x in a)
+
+
+def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A pseudo-remainder of a by b over Z: the remainder of m * a for an
+    integer m != 0, found without leaving Z."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        k = gcd(r[-1], lb)
+        m, c = lb // k, r[-1] // k
+        s = len(r) - nb
+        if m != 1:
+            r = [m * x for x in r]
+        for j, y in enumerate(b):
+            r[s + j] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
 def _pdivexact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact division in Z[q]; the caller guarantees b | a."""
+    """Exact division in Z[q]; the caller guarantees b | a, so every leading
+    coefficient division is exact in Z."""
     if not a:
         return ()
-    fa = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    quot = [0] * (len(a) - nb + 1)
     for k in range(len(quot) - 1, -1, -1):
-        c = fa[k + len(b) - 1] / lb
+        c = r[k + nb - 1] // lb
         quot[k] = c
         if c:
-            for j, cb in enumerate(b):
-                fa[k + j] -= c * cb
-    assert all(f == 0 for f in fa[: len(b) - 1]), "inexact polynomial division"
-    out = []
-    for f in quot:
-        assert f.denominator == 1, "non-integer quotient in exact division"
-        out.append(f.numerator)
-    return _trim(out)
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    assert not any(r), "inexact polynomial division"
+    return tuple(quot)
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """gcd in Z[q] including integer content, normalized to positive leading coeff."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, cb = _content(a), _content(b)
-        fa = [Fraction(c) for c in a]
-        fb = [Fraction(c) for c in b]
-        while fb and any(fb):
-            # remainder of fa by fb over Q
-            fb = _trim_frac(fb)
-            lb = fb[-1]
-            while len(fa) >= len(fb) and any(fa):
-                fa = _trim_frac(fa)
-                if len(fa) < len(fb):
-                    break
-                c = fa[-1] / lb
-                for j in range(len(fb)):
-                    fa[len(fa) - len(fb) + j] -= c * fb[j]
-                fa = _trim_frac(fa)
-            fa, fb = fb, fa
-        # fa is a gcd over Q; clear denominators and take the primitive part
-        den_lcm = 1
-        for f in fa:
-            den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-        ints = [int(f * den_lcm) for f in fa]
-        c = _content(tuple(ints))
-        g = tuple(x // c for x in ints)
-        g = tuple(x * gcd(ca, cb) for x in g)
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return _trim(g)
+    """gcd in Z[q] including integer content, normalized to positive leading coeff.
 
-
-def _trim_frac(fs: list[Fraction]) -> list[Fraction]:
-    n = len(fs)
-    while n and fs[n - 1] == 0:
-        n -= 1
-    return fs[:n]
+    The primitive polynomial remainder sequence (Knuth, TAOCP Vol. 2,
+    4.6.1, Algorithm E): by Gauss's lemma the gcd of two primitive
+    polynomials is primitive, so the content of every pseudo-remainder can
+    be dropped, and the gcd of the contents is put back at the end.
+    """
+    c = gcd(_content(a), _content(b))
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    g = _pmul(a, (c,))
+    return _pneg(g) if g and g[-1] < 0 else g
 
 
 def _reduce(v: int, n: Coeffs, d: Coeffs) -> tuple[int, Coeffs, Coeffs]:

@@ -68,12 +68,9 @@ def test_sigma_scales_the_kernel():
 
 
 def test_delta_inverse_round_trip():
-    for zeros in ("q^-2", "q^2"):
-        datum = preset_datum("A2")
-        prod = make_delta(datum, zeros) * make_delta_inverse(datum, zeros)
-        assert prod == RatFunc.one(datum)
-    with pytest.raises(ValueError):
-        make_delta(preset_datum("A1"), "q^4")
+    datum = preset_datum("A2")
+    prod = make_delta(datum) * make_delta_inverse(datum)
+    assert prod == RatFunc.one(datum)
 
 
 def test_normal_form_round_trip_seeded():

@@ -174,31 +174,6 @@ def test_weyl_transform_is_an_action():
         assert lhs == f.weyl_transform(multiply_elts(datum, w, y))
 
 
-def test_inverse_round_trip():
-    datum = preset_datum("A2")
-    roots = all_positive_roots(datum)
-    rng = random.Random(105)
-    for _ in range(50):
-        char = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
-        u = RatFunc.character(datum, char, _random_scalar(rng))
-        for _ in range(rng.randint(0, 2)):
-            u = u.with_den_factor(rng.choice(roots), rng.choice(TARGETS))
-        assert u.inverse() * u == RatFunc.one(datum)
-
-
-def test_inverse_needs_monomial_unless_peeled():
-    datum = preset_datum("A1")
-    alpha = datum.simple_root_obj(1)
-    talpha = RatFunc.character(datum, alpha.char)
-    u = talpha - RatFunc.from_scalar(datum, Q ** 2)
-    with pytest.raises(LaurentError):
-        u.inverse()
-    v = u.inverse(peel=[(alpha, Q ** 2)])
-    assert v * u == RatFunc.one(datum)
-    with pytest.raises(ZeroDivisionError):
-        RatFunc.zero(datum).inverse()
-
-
 def test_half_characters_multiply():
     datum = preset_datum("B2")
     lam = (1, -1)

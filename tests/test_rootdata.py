@@ -71,6 +71,37 @@ def test_classify_cartan():
         classify_cartan(CartanMatrix([[2, -1], [-4, 2]]))
 
 
+@pytest.mark.parametrize("entries", [
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],  # A3
+    [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],  # B3
+    [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],  # C3
+], ids=["A3", "B3", "C3"])
+def test_classify_cartan_finite_rank_3(entries):
+    assert classify_cartan(CartanMatrix(entries)) == "finite"
+
+
+def test_classify_cartan_g2_affine_marks():
+    A = CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -3, 2]])
+    assert classify_cartan(A) == "affine"
+    datum = build_datum(A)
+    assert datum.affine.marks == (1, 2, 3)
+    assert datum.affine.comarks == (1, 2, 1)
+
+
+@pytest.mark.parametrize("entries, message", [
+    # G2aff with the short and long ends swapped: node 0 is not affine
+    ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not a standard"),
+    ([[2, -4], [-1, 2]], "not a standard"),  # twisted A2^(2)
+    ([[2, -3], [-3, 2]], "neither finite nor affine"),  # hyperbolic
+    ([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], "must be connected"),
+    ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+], ids=["G2aff-swapped", "A2-twisted", "hyperbolic", "disconnected",
+        "non-symmetrizable"])
+def test_classify_cartan_rejects(entries, message):
+    with pytest.raises(CartanMatrixError, match=message):
+        classify_cartan(CartanMatrix(entries))
+
+
 def test_group_orders_and_longest_words():
     for name, order, l0 in (("A2", 6, 3), ("B2", 8, 4), ("G2", 12, 6)):
         datum = preset_datum(name)

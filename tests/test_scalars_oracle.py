@@ -6,7 +6,8 @@ may have a general denominator; sympy, an independent implementation of
 Q(q), gives the value every operation must have.  The last tests pin
 the canonical form q^v * n/d: a value reached on the fast path is the
 same object, field by field, as the value built from a fraction or
-parsed from text.
+parsed from text.  The gcd in Z[q] that reduces a general denominator
+is checked against sympy's on its own.
 """
 
 import pytest
@@ -170,3 +171,41 @@ def test_results_are_canonical(pa, pb):
     if not b.is_zero():
         for x in (a / b, b.inverse(), b ** 2, b ** -3):
             _assert_canonical(x)
+
+
+# -- the gcd in Z[q] behind a general denominator --------------------------
+
+nonzero_coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(
+    lambda cs: cs[-1] != 0)
+contents = st.integers(-12, 12).filter(bool)
+
+
+def _zz(cs):
+    """A dense low-to-high coefficient tuple as a sympy polynomial over Z."""
+    return sympy.Poly(list(reversed(cs)) or [0], QS, domain=sympy.ZZ)
+
+
+def _coeffs(p) -> tuple:
+    return tuple(int(c) for c in reversed(p.all_coeffs())) if not p.is_zero else ()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nonzero_coeffs, nonzero_coeffs, nonzero_coeffs, contents, contents,
+       st.sampled_from(["both", "a zero", "b zero"]))
+def test_integer_gcd_matches_sympy(common, ca, cb, ka, kb, zero):
+    """_pgcd keeps the gcd of the integer contents and a positive leading
+    coefficient; _pdivexact is the exact quotient in Z[q]."""
+    from torushecke.scalars import _pdivexact, _pgcd
+    g0 = _zz(common)
+    a = _coeffs(g0 * _zz(ca) * ka) if zero != "a zero" else ()
+    b = _coeffs(g0 * _zz(cb) * kb) if zero != "b zero" else ()
+    want = sympy.gcd(_zz(a), _zz(b))
+    if want.LC() < 0:
+        want = -want
+    g = _pgcd(a, b)
+    assert g == _coeffs(want)
+    assert g[-1] > 0
+    for x in (a, b):
+        quo, rem = sympy.div(_zz(x), _zz(g))
+        assert rem.is_zero
+        assert _pdivexact(x, g) == _coeffs(quo)

@@ -220,6 +220,14 @@ def test_cli_elliptic_rejects_non_finite_periods_and_shifts(args, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tau", ["1e10j", "1e300j"])
+def test_cli_elliptic_rejects_a_nome_that_underflows(tau, capsys):
+    assert run_cli(["elliptic", "--suite", "prop46", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert "underflows to 0" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
