@@ -10,6 +10,14 @@ building blocks are Jacobi theta series in the nome, from which we get
   chosen order-2 point xi = omega1/2, simple poles at the other two
   order-2 points, and derivative 1 at the origin.
 
+A curve computes its nome, the theta constants and the sn normalization
+once, at construction; the series prefactors 2q^{(n+1/2)^2} and 2q^{n^2}
+are tabulated once per nome and shared by theta_1 (with its derivatives),
+theta_2, theta_3 and theta_4.  Where a series term overflows double
+precision (Im tau from about 75 up to where the nome underflows near 237,
+at points with large Im v) evaluation refuses with ``EllipticError``,
+which the CLI turns into exit code 2.
+
 Operators carry one evaluable coefficient per Weyl element; products
 twist by the reflection action on the adjoint coordinates x_i, the
 additive avatars of t^{alpha_i}.  Everything downstream (involution,
@@ -22,8 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rootdata import RootDatum, WeylElt
 
@@ -39,21 +47,36 @@ __all__ = [
     "NumericReport",
 ]
 
-_TWO_PI = 2.0 * math.pi
+_TERMS = 200
 
 
 class EllipticError(ValueError):
     """Bad parameters or evaluation at a removed point."""
 
 
+def _prefactors(nome: complex) -> Tuple[List[complex], List[complex]]:
+    """2q^{(n+1/2)^2} and 2q^{n^2} for n < _TERMS, once per nome, with
+    q^{1/4} on the principal branch; (-1)^n is left to the caller."""
+    table = _NOME_QUARTER_CACHE.get(nome)
+    if table is None:
+        quarter = nome ** 0.25
+        table = _NOME_QUARTER_CACHE[nome] = (
+            [2.0 * nome ** (n * n + n) * quarter for n in range(_TERMS)],
+            [2.0 * nome ** (n * n) for n in range(_TERMS)])
+    return table
+
+
+_NOME_QUARTER_CACHE: Dict[complex, Tuple[List[complex], List[complex]]] = {}
+
+
 def _theta_derivs(v: complex, nome: complex, order: int) -> List[complex]:
     """theta_1 and its first `order` derivatives at v, by direct series."""
+    odd = _prefactors(nome)[0]
     out = [0j] * (order + 1)
     tiny_run = 0
-    for n in range(200):
+    for n in range(_TERMS):
         k = 2 * n + 1
-        base = 2.0 * (-1) ** n * nome ** (n * n + n) * _nome_quarter(nome)
-        # the factor above is 2*(-1)^n * q^{(n+1/2)^2}
+        base = -odd[n] if n % 2 else odd[n]
         s = cmath.sin(k * v)
         c = cmath.cos(k * v)
         cycle = (s, c, -s, -c)
@@ -73,29 +96,14 @@ def _theta_derivs(v: complex, nome: complex, order: int) -> List[complex]:
                         "period ratio too close to the real axis")
 
 
-def _nome_quarter(nome: complex) -> complex:
-    # q^{1/4} consistent with the principal branch used throughout
-    return _NOME_QUARTER_CACHE.setdefault(nome, nome ** 0.25)
-
-
-_NOME_QUARTER_CACHE: Dict[complex, complex] = {}
-
-
 def _theta_even(v: complex, nome: complex, kind: int) -> complex:
     """theta_2, theta_3 or theta_4 at v (no derivatives needed)."""
-    if kind == 2:
-        out = 0j
-        for n in range(200):
-            term = 2.0 * nome ** (n * n + n) * _nome_quarter(nome) \
-                * cmath.cos((2 * n + 1) * v)
-            out += term
-            if abs(term) < 1e-18 * (abs(out) + 1e-300) and n > 2:
-                return out
-        raise EllipticError("theta series failed to converge")
-    out = 1 + 0j
-    sign = -1.0 if kind == 4 else 1.0
-    for n in range(1, 200):
-        term = 2.0 * sign ** n * nome ** (n * n) * cmath.cos(2 * n * v)
+    odd, even = _prefactors(nome)
+    out, first, pref, step = ((0j, 0, odd, 1) if kind == 2
+                              else (1 + 0j, 1, even, 0))
+    for n in range(first, _TERMS):
+        a = -pref[n] if kind == 4 and n % 2 else pref[n]
+        term = a * cmath.cos((2 * n + step) * v)
         out += term
         if abs(term) < 1e-18 * (abs(out) + 1e-300) and n > 2:
             return out
@@ -110,7 +118,6 @@ class EllipticCurveParams:
     omega1: complex
     omega2: complex
     q_point: complex
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.omega1 = complex(self.omega1)
@@ -129,6 +136,7 @@ class EllipticCurveParams:
             raise EllipticError("period ratio must have positive imaginary part")
         # once the nome underflows, every theta constant vanishes and sn
         # cannot be normalized; a nonzero nome has a nonzero q^{1/4}
+        self.nome = cmath.exp(1j * math.pi * self.tau)
         if self.nome == 0:
             raise EllipticError(
                 f"period ratio {tau} has too large an imaginary part: "
@@ -138,6 +146,13 @@ class EllipticCurveParams:
         c = self.q_shift
         if self._near_lattice(c) or self._near_lattice(c - self.xi):
             raise EllipticError("-2*q_point sits on a removed divisor")
+        t0 = _theta_derivs(0j, self.nome, 3)
+        self.th1p, self.th1ppp = t0[1], t0[3]
+        self.th2_0 = _theta_even(0j, self.nome, 2)
+        self.th3_0 = _theta_even(0j, self.nome, 3)
+        self.th4_0 = _theta_even(0j, self.nome, 4)
+        self.sn_scale = (self.omega1 * self.th3_0 * self.th4_0
+                         / (math.pi * self.th1p * self.th2_0))
 
     @property
     def xi(self) -> complex:
@@ -152,10 +167,6 @@ class EllipticCurveParams:
     def tau(self) -> complex:
         t = self.omega2 / self.omega1
         return complex(t.real - round(t.real), t.imag)
-
-    @property
-    def nome(self) -> complex:
-        return cmath.exp(1j * math.pi * self.tau)
 
     @property
     def min_period(self) -> float:
@@ -180,20 +191,6 @@ class EllipticCurveParams:
     def _near_lattice(self, z: complex, eps: float = 1e-9) -> bool:
         return abs(self.reduce(z)) < eps * self.min_period
 
-    def _const(self, key: str):
-        cache = self._cache
-        if key not in cache:
-            nome = self.nome
-            t0 = _theta_derivs(0j, nome, 3)
-            cache["th1p"] = t0[1]
-            cache["th1ppp"] = t0[3]
-            cache["th2_0"] = _theta_even(0j, nome, 2)
-            cache["th3_0"] = _theta_even(0j, nome, 3)
-            cache["th4_0"] = _theta_even(0j, nome, 4)
-            cache["sn_scale"] = (self.omega1 * cache["th3_0"] * cache["th4_0"]
-                                 / (math.pi * cache["th1p"] * cache["th2_0"]))
-        return cache[key]
-
 
 def _log_theta_derivs(params: EllipticCurveParams, v: complex,
                       order: int) -> List[complex]:
@@ -217,18 +214,26 @@ def _log_theta_derivs(params: EllipticCurveParams, v: complex,
 def eval_elliptic(params: EllipticCurveParams, which: str, z: complex,
                   m: int = 0) -> complex:
     """Evaluate sn or the m-th derivative of the Weierstrass function."""
-    z = complex(z)
+    try:
+        return _eval(params, which, complex(z), m)
+    except OverflowError:
+        raise EllipticError(
+            f"theta series overflows double precision at z = {z}: "
+            f"Im tau = {params.tau.imag} is too large for this point") from None
+
+
+def _eval(params: EllipticCurveParams, which: str, z: complex,
+          m: int) -> complex:
     if which == "sn":
         v = math.pi * params.reduce(z) / params.omega1
         nome = params.nome
         th3 = _theta_even(v, nome, 3)
         th4 = _theta_even(v, nome, 4)
-        if abs(th3 * th4) < 1e-12 * abs(params._const("th3_0")
-                                        * params._const("th4_0")):
+        if abs(th3 * th4) < 1e-12 * abs(params.th3_0 * params.th4_0):
             raise EllipticError("sn evaluated at one of its poles")
         th1 = _theta_derivs(v, nome, 0)[0]
         th2 = _theta_even(v, nome, 2)
-        return params._const("sn_scale") * th1 * th2 / (th3 * th4)
+        return params.sn_scale * th1 * th2 / (th3 * th4)
     if which != "wp":
         raise EllipticError(f"unknown function {which!r}")
     if not 0 <= m <= 6:
@@ -242,7 +247,7 @@ def eval_elliptic(params: EllipticCurveParams, which: str, z: complex,
     val = -scale * u[m + 2]
     if m == 0:
         val += (math.pi / params.omega1) ** 2 \
-            * params._const("th1ppp") / (3.0 * params._const("th1p"))
+            * params.th1ppp / (3.0 * params.th1p)
     return val
 
 
@@ -275,15 +280,15 @@ class EllipticOperator:
 
     def __mul__(self, other: "EllipticOperator") -> "EllipticOperator":
         from .rootdata import multiply_elts
-        out: Dict[WeylElt, List[Tuple[PointFn, PointFn, WeylElt]]] = {}
+        out: Dict[WeylElt, List[Tuple[PointFn, PointFn]]] = {}
         for w, f in self.terms.items():
             for y, g in other.terms.items():
                 wy = multiply_elts(self.datum, w, y)
-                out.setdefault(wy, []).append((f, _twist(g, w), w))
+                out.setdefault(wy, []).append((f, _twist(g, w)))
         terms: Dict[WeylElt, PointFn] = {}
         for wy, pieces in out.items():
             def coeff(pt, pieces=pieces):
-                return sum(f(pt) * g(pt) for f, g, _ in pieces)
+                return sum(f(pt) * g(pt) for f, g in pieces)
             terms[wy] = coeff
         return EllipticOperator(self.datum, terms)
 
@@ -303,26 +308,33 @@ class EllipticOperator:
         return dev
 
 
+def _rank_one_pair(params: EllipticCurveParams):
+    """The coefficients sn(c)/sn(x) of [1] and 1 - sn(c)/sn(x) of [s],
+    with c the additive stand-in for q^-2."""
+    sn_c = eval_elliptic(params, "sn", params.q_shift)
+
+    def ratio(x):
+        return sn_c / eval_elliptic(params, "sn", x)
+
+    def rest(x):
+        return 1.0 - sn_c / eval_elliptic(params, "sn", x)
+
+    return ratio, rest
+
+
 def build_elliptic_sigma(params: EllipticCurveParams,
                          datum: RootDatum) -> List[EllipticOperator]:
-    """One generator per node: (sn(c)/sn(x_i))[1] + (1 - sn(c)/sn(x_i))[s_i],
-    with c the additive stand-in for q^-2."""
+    """One generator per node: (sn(c)/sn(x_i))[1] + (1 - sn(c)/sn(x_i))[s_i]."""
     if datum.kind != "finite" or datum.n > 2:
         raise EllipticError("elliptic generators are built for finite rank <= 2")
     from .rootdata import canonicalize_word
-    sn_c = eval_elliptic(params, "sn", params.q_shift)
+    ratio, rest = _rank_one_pair(params)
     out = []
     for lab in datum.labels:
         i = datum.pos(lab)
-        s_i = canonicalize_word(datum, (lab,))
-
-        def ratio(pt, i=i):
-            return sn_c / eval_elliptic(params, "sn", pt[i])
-
-        def rest(pt, i=i):
-            return 1.0 - sn_c / eval_elliptic(params, "sn", pt[i])
-
-        out.append(EllipticOperator(datum, {datum.identity: ratio, s_i: rest}))
+        out.append(EllipticOperator(datum, {
+            datum.identity: lambda pt, i=i: ratio(pt[i]),
+            canonicalize_word(datum, (lab,)): lambda pt, i=i: rest(pt[i])}))
     return out
 
 
@@ -360,7 +372,7 @@ def _sample_point(params: EllipticCurveParams, datum: RootDatum,
                   rng: random.Random) -> Tuple[complex, ...]:
     """A point of the product torus with every coordinate off the
     divisors where the generator coefficients blow up or vanish."""
-    sn_unit = abs(params._const("sn_scale"))
+    sn_unit = abs(params.sn_scale)
     for _ in range(500):
         pt = []
         ok = True
@@ -389,33 +401,28 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
     """Involution of each generator, or failure of the braid identity."""
     rng = random.Random(seed)
     sigmas = build_elliptic_sigma(params, datum)
-    entries = []
+
+    def worst(a: EllipticOperator, b: EllipticOperator) -> float:
+        dev = 0.0
+        for _ in range(samples):
+            dev = max(dev, a.deviation_from(b, _sample_point(params, datum, rng)))
+        return dev
+
     if suite == "involution":
         ident = EllipticOperator.identity(datum)
+        entries = []
         for lab, sigma in zip(datum.labels, sigmas):
-            square = sigma * sigma
-            worst = 0.0
-            for _ in range(samples):
-                pt = _sample_point(params, datum, rng)
-                worst = max(worst, square.deviation_from(ident, pt))
-            status = "pass" if worst <= tol else "fail"
+            dev = worst(sigma * sigma, ident)
             entries.append(NumericEntry(f"sigma_{lab}^2", "identity-deviation",
-                                        worst, tol, status))
+                                        dev, tol, "pass" if dev <= tol else "fail"))
         return NumericReport(entries)
     if suite == "braid-failure":
         if datum.n != 2:
             raise EllipticError("braid-failure needs rank 2")
         s1, s2 = sigmas
-        lhs = s1 * s2 * s1
-        rhs = s2 * s1 * s2
-        worst = 0.0
-        for _ in range(samples):
-            pt = _sample_point(params, datum, rng)
-            worst = max(worst, lhs.deviation_from(rhs, pt))
-        status = "pass" if worst > 1e-3 else "fail"
-        entries.append(NumericEntry("braid-gap", "max-deviation",
-                                    worst, 1e-3, status))
-        return NumericReport(entries)
+        dev = worst(s1 * s2 * s1, s2 * s1 * s2)
+        return NumericReport([NumericEntry("braid-gap", "max-deviation", dev,
+                                           1e-3, "pass" if dev > 1e-3 else "fail")])
     raise EllipticError(f"unknown elliptic suite {suite!r}")
 
 
@@ -485,15 +492,13 @@ def verify_prop46(params: EllipticCurveParams, m_max: int = 6,
     rng = random.Random(seed)
     c = params.q_shift
     xi = params.xi
-    sn_c = eval_elliptic(params, "sn", c)
 
     def zero(t: complex) -> complex:
         return 0j
 
     elements: List[Tuple[str, Callable, Callable]] = [
         ("[1]", lambda t: 1.0 + 0j, zero),
-        ("sigma", lambda t: sn_c / eval_elliptic(params, "sn", t),
-         lambda t: 1.0 - sn_c / eval_elliptic(params, "sn", t)),
+        ("sigma", *_rank_one_pair(params)),
     ]
     for m in range(m_max + 1):
         shift = eval_elliptic(params, "wp", c - xi, m)

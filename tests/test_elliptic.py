@@ -9,6 +9,7 @@ difference quotients and the invariant-free derivative identities.
 """
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -22,6 +23,7 @@ from torushecke.elliptic import (
     verify_prop46,
 )
 from torushecke.rootdata import preset_datum
+from torushecke.serialize import dump_report
 
 SQUARE = dict(omega1=1.0, omega2=1j, q_point=0.23 + 0.11j)
 SKEW = dict(omega1=1.0, omega2=0.3 + 1.1j, q_point=0.21 + 0.13j)
@@ -255,3 +257,39 @@ def test_prop46_report():
 def test_prop46_skew_lattice():
     rep = verify_prop46(_params(SKEW), m_max=3, seed=2)
     assert rep.ok
+
+
+# sha256 of the `elliptic -o` report bytes at seed 0, taken before the
+# curve constants and the series prefactors were computed once per curve;
+# any change in float rounding shows up in the `.6e` values
+_REPORT_SHA256 = {
+    ("SQUARE", "prop46"):
+        "9d4df51e07268b4d0673b34d6f6a3e481a43a60b74451ccd0ebe622de41ea810",
+    ("SQUARE", "braid-failure"):
+        "8d8c3b219a155a2c81a3eb2d73f95adf9538fcc376eb6720231e07aac398e527",
+    ("SQUARE", "involution"):
+        "e8eccaa81ca0f5a9bac0b3973951b92ca50c47bda567c9756105b8dc51a93ad2",
+    ("SKEW", "prop46"):
+        "7091461d6815809f283ff5d3577b07be706379705f0474f35334c3c133d8414a",
+    ("SKEW", "braid-failure"):
+        "46db35595fc23e1cf3718a7d28a97b112b92f470b8307d7cc527a995b8ea7d8d",
+    ("SKEW", "involution"):
+        "ae9b3af9cf95b1204362eb07c449e8b9d1363ddaa7f8a35aa19e27e7b2a2b3b9",
+}
+
+
+@pytest.mark.parametrize("lattice", ["SQUARE", "SKEW"])
+def test_report_bytes_pinned(lattice):
+    params = _params({"SQUARE": SQUARE, "SKEW": SKEW}[lattice])
+    reports = {
+        "prop46": verify_prop46(params, m_max=6, seed=0),
+        "braid-failure": check_elliptic(params, preset_datum("A2"),
+                                        "braid-failure", samples=100, seed=0),
+        "involution": check_elliptic(params, preset_datum("A1"), "involution",
+                                     samples=100, seed=0),
+    }
+    for suite, rep in reports.items():
+        text = dump_report({"suite": suite, "ok": rep.ok,
+                            "entries": rep.to_list()})
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == _REPORT_SHA256[lattice, suite], suite

@@ -228,6 +228,22 @@ def test_cli_elliptic_rejects_a_nome_that_underflows(tau, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["prop46", "involution", "braid-failure"])
+@pytest.mark.parametrize("tau", ["80j", "100j", "236j"])
+def test_cli_elliptic_refuses_where_the_theta_series_overflows(
+        suite, tau, capsys):
+    # Im tau between about 75 and 237: the nome is representable, but
+    # cos((2n+1)v) overflows at sample points far up the long torus
+    code = run_cli(["elliptic", "--suite", suite, "--tau", tau])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if suite == "prop46":
+        assert code == 2
+        assert "overflows double precision" in captured.err
+    if code == 2:
+        assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
