@@ -191,15 +191,10 @@ def conjugate_by_delta_factor(datum: RootDatum, w: WeylElt,
     """
     qm2 = QScalar.q_power(-2)
     qp2 = QScalar.q_power(2)
+    zero, pole = (qp2, qm2) if inward else (qm2, qp2)
     out = RatFunc.one(datum)
     for gamma in inversion_set(datum, w):
         dchar = tuple(2 * x for x in gamma.char)
-        if inward:
-            num = expand_den_factor(datum.rank, dchar, qp2, 1)
-            out = out * RatFunc(datum, num.scale(-qm2), None, reduce=False)
-            out = out.with_den_factor(gamma, qm2)
-        else:
-            num = expand_den_factor(datum.rank, dchar, qm2, 1)
-            out = out * RatFunc(datum, num.scale(-qp2), None, reduce=False)
-            out = out.with_den_factor(gamma, qp2)
+        num = expand_den_factor(datum.rank, dchar, zero, 1).scale(-pole)
+        out = (out * RatFunc.from_poly(datum, num)).with_den_factor(gamma, pole)
     return out

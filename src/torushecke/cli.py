@@ -23,12 +23,11 @@ from .membership import check_membership
 from .presentations import (action_preservation_suite, bernstein_suite,
                             braid_suite, closure_suite, delta_criterion_suite,
                             quadratic_suite, verify_daha_suite)
-from .rootdata import (CartanMatrix, CartanMatrixError, RootDatumError,
-                       build_datum, preset_datum)
+from .rootdata import CartanMatrixError, RootDatumError, preset_datum
 from .scalars import ScalarParseError
-from .serialize import (SerializeError, datum_to_dict, dump_report,
-                        element_from_dict, element_to_dict, load_json,
-                        normal_form_to_dict)
+from .serialize import (SerializeError, datum_from_dict, datum_to_dict,
+                        dump_report, element_from_dict, element_to_dict,
+                        load_json, normal_form_to_dict)
 
 VERIFY_SUITES = ("quadratic", "braid", "membership-closure", "delta-criterion",
                  "bernstein", "daha", "action-preservation")
@@ -38,36 +37,10 @@ _INPUT_ERRORS = (SerializeError, RootDatumError, CartanMatrixError,
                  LaurentError, ScalarParseError, OSError)
 
 
-def _int_rows(source: str, field: str, rows) -> tuple:
-    """A datum-file field that must be a list of integer vectors."""
-    try:
-        return tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError):
-        raise SerializeError(
-            f"{source}: {field!r} must be a list of integer vectors") from None
-
-
 def _load_datum(source: str):
     path = Path(source)
     if path.suffix == ".json" or path.exists():
-        data = load_json(path.read_text())
-        if not isinstance(data, dict) or "cartan" not in data:
-            raise SerializeError(f"{source}: datum file needs a 'cartan' matrix")
-        cartan = CartanMatrix(_int_rows(source, "cartan", data["cartan"]))
-        choice = data.get("choice", "default")
-        if not isinstance(choice, str):
-            raise SerializeError(
-                f"{source}: 'choice' must be a string; give explicit "
-                "vectors as 'roots' and 'coroots'")
-        if "roots" in data or "coroots" in data:
-            for field in ("roots", "coroots"):
-                if field not in data:
-                    raise SerializeError(
-                        f"{source}: 'roots' and 'coroots' come together; "
-                        f"{field!r} is missing")
-            choice = {field: _int_rows(source, field, data[field])
-                      for field in ("roots", "coroots")}
-        return build_datum(cartan, choice)
+        return datum_from_dict(load_json(path.read_text()), source)
     return preset_datum(source)
 
 

@@ -86,10 +86,10 @@ def make_sigma(datum: RootDatum, label: int) -> AlgebraElement:
     dchar = tuple(2 * x for x in alpha.char)
     lead_num = LaurentPoly(
         datum.rank, {dchar: _Q, (0,) * datum.rank: -_QINV})
-    lead = RatFunc(datum, lead_num, None, reduce=False).with_den_factor(alpha, _ONE)
+    lead = RatFunc.from_poly(datum, lead_num).with_den_factor(alpha, _ONE)
     diag_num = LaurentPoly.monomial(datum.rank, (0,) * datum.rank,
                                     -(_Q - _QINV))
-    diag = RatFunc(datum, diag_num, None, reduce=False).with_den_factor(alpha, _ONE)
+    diag = RatFunc.from_poly(datum, diag_num).with_den_factor(alpha, _ONE)
     out = AlgebraElement(datum, {s: lead, datum.identity: diag})
     cache[label] = out
     return out
@@ -163,10 +163,8 @@ def make_delta_inverse(datum: RootDatum) -> RatFunc:
     """
     roots = all_positive_roots(datum)
     rho_doubled = tuple(sum(a.char[k] for a in roots) for k in range(datum.rank))
-    out = RatFunc(
-        datum,
-        LaurentPoly.monomial(datum.rank, rho_doubled, (-_Q) ** (-len(roots))),
-        None, reduce=False)
+    out = RatFunc.from_poly(datum, LaurentPoly.monomial(
+        datum.rank, rho_doubled, (-_Q) ** (-len(roots))))
     for alpha in roots:
         out = out.with_den_factor(alpha, _QM2)
     return out

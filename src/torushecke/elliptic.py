@@ -16,7 +16,9 @@ are tabulated once per nome and shared by theta_1 (with its derivatives),
 theta_2, theta_3 and theta_4.  Where a series term overflows double
 precision (Im tau from about 75 up to where the nome underflows near 237,
 at points with large Im v) evaluation refuses with ``EllipticError``,
-which the CLI turns into exit code 2.
+which the CLI turns into exit code 2.  From about Im tau = 15 the prop46
+probes lose every digit on some circles, and ``verify_prop46`` refuses
+the same way instead of measuring rounding noise.
 
 Operators carry one evaluable coefficient per Weyl element; products
 twist by the reflection action on the adjoint coordinates x_i, the
@@ -188,8 +190,8 @@ class EllipticCurveParams:
                     best = cand
         return best
 
-    def _near_lattice(self, z: complex, eps: float = 1e-9) -> bool:
-        return abs(self.reduce(z)) < eps * self.min_period
+    def _near_lattice(self, z: complex) -> bool:
+        return abs(self.reduce(z)) < 1e-9 * self.min_period
 
 
 def _log_theta_derivs(params: EllipticCurveParams, v: complex,
@@ -292,10 +294,6 @@ class EllipticOperator:
             terms[wy] = coeff
         return EllipticOperator(self.datum, terms)
 
-    def coefficients(self, pt: Sequence[complex]) -> Dict[WeylElt, complex]:
-        pt = tuple(complex(x) for x in pt)
-        return {w: f(pt) for w, f in self.terms.items()}
-
     def deviation_from(self, other: "EllipticOperator",
                        pt: Sequence[complex]) -> float:
         pt = tuple(complex(x) for x in pt)
@@ -391,8 +389,10 @@ def _sample_point(params: EllipticCurveParams, datum: RootDatum,
             pt.append(x)
         if ok:
             return tuple(pt)
-    raise EllipticError("all samples landed near divisors; resample "
-                        "with another seed or different q_point")
+    raise EllipticError(
+        f"no sample point in 500 draws kept |sn| of every coordinate within "
+        f"0.05-20 x |sn_scale| and off its poles (Im tau = {params.tau.imag:g}); "
+        "on a long thin torus |sn| leaves that band almost everywhere")
 
 
 def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
@@ -430,8 +430,12 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
 # membership of the listed basis elements, one coordinate
 
 
-def _contour_residue(params: EllipticCurveParams, f: Callable[[complex], complex],
-                     nodes: int = 256) -> complex:
+_NODES = 256  # trapezoid nodes on a residue circle
+_PROBES = 6  # probe points per function in the bounded-off-divisors check
+
+
+def _contour_residue(params: EllipticCurveParams,
+                     f: Callable[[complex], complex]) -> complex:
     """Residue of f at the origin by the trapezoid rule, shrinking the
     circle when it touches another singularity."""
     radius = 0.05 * params.min_period
@@ -439,8 +443,8 @@ def _contour_residue(params: EllipticCurveParams, f: Callable[[complex], complex
         try:
             vals = []
             blew_up = False
-            for k in range(nodes):
-                zk = radius * cmath.exp(2j * math.pi * k / nodes)
+            for k in range(_NODES):
+                zk = radius * cmath.exp(2j * math.pi * k / _NODES)
                 val = f(zk)
                 if abs(val) > 1e12:
                     blew_up = True
@@ -450,8 +454,8 @@ def _contour_residue(params: EllipticCurveParams, f: Callable[[complex], complex
                 # the nodes sum to zero, so shifting by the mean changes
                 # nothing exactly but stops a large constant part of f
                 # from amplifying rounding error
-                mean = sum(v for v, _ in vals) / nodes
-                return sum((v - mean) * zk for v, zk in vals) / nodes
+                mean = sum(v for v, _ in vals) / _NODES
+                return sum((v - mean) * zk for v, zk in vals) / _NODES
         except EllipticError:
             pass
         radius *= 0.5
@@ -460,12 +464,19 @@ def _contour_residue(params: EllipticCurveParams, f: Callable[[complex], complex
 
 def _bounded_off_divisors(params: EllipticCurveParams,
                           f: Callable[[complex], complex],
-                          rng: random.Random, probes: int = 6) -> float:
+                          rng: random.Random) -> float:
     """Largest growth ratio of max|f| along shrinking circles around
-    seeded points away from 0 and xi; near 1 means no pole nearby."""
+    seeded points away from 0 and xi; near 1 means no pole nearby.
+
+    A nonzero f whose maximum on some circle is exactly 0 has lost every
+    digit there (far up a long thin torus one theta term swamps the
+    rest, and the derivatives of log theta_1 cancel to 0), so the ratio
+    would divide rounding noise by 1e-30: that raises EllipticError.
+    """
     worst = 0.0
+    circles = []
     r0 = 0.01 * params.min_period
-    for _ in range(probes):
+    for _ in range(_PROBES):
         while True:
             a = rng.uniform(-0.45, 0.45)
             b = rng.uniform(-0.45, 0.45)
@@ -479,7 +490,13 @@ def _bounded_off_divisors(params: EllipticCurveParams,
             vals = [abs(f(p + r * cmath.exp(2j * math.pi * k / 16)))
                     for k in range(16)]
             maxima.append(max(vals))
+        circles.extend(maxima)
         worst = max(worst, maxima[-1] / (maxima[0] + 1e-30))
+    if 0.0 in circles and any(circles):
+        raise EllipticError(
+            f"lost double precision at Im tau = {params.tau.imag:g}: a "
+            "bounded-off-divisors probe reads exactly 0 on one circle and "
+            f"up to {max(circles):.3e} on others")
     return worst
 
 

@@ -138,16 +138,10 @@ class LaurentPoly:
                     del out[e]
                 else:
                     out[e] = s
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = self.rank
-        p.terms = out
-        return p
+        return _raw(self.rank, out)
 
     def __neg__(self) -> "LaurentPoly":
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = self.rank
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _raw(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -172,29 +166,20 @@ class LaurentPoly:
                     out[e] = c
                 else:
                     out[e] = acc + c
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = self.rank
-        p.terms = {e: c for e, c in out.items() if not c.is_zero()}
-        return p
+        return _raw(self.rank, {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
     def scale(self, c: QScalar) -> "LaurentPoly":
         if c.is_zero():
             return LaurentPoly(self.rank)
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = self.rank
-        p.terms = {e: x * c for e, x in self.terms.items()}
-        return p
+        return _raw(self.rank, {e: x * c for e, x in self.terms.items()})
 
     def shift(self, exp: ExpVec) -> "LaurentPoly":
         """Multiply by the monomial t^(exp/2) (doubled exponent vector)."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = self.rank
-        p.terms = {
+        return _raw(self.rank, {
             tuple(x + y for x, y in zip(e, exp)): c for e, c in self.terms.items()
-        }
-        return p
+        })
 
     def transform_exponents(self, mat) -> "LaurentPoly":
         """Apply an integer matrix to every (doubled) exponent vector."""
@@ -203,10 +188,7 @@ class LaurentPoly:
             y = tuple(sum(row[k] * e[k] for k in range(len(e))) for row in mat)
             acc = out.get(y)
             out[y] = c if acc is None else acc + c
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.rank = len(mat)
-        p.terms = {e: c for e, c in out.items() if not c.is_zero()}
-        return p
+        return _raw(len(mat), {e: c for e, c in out.items() if not c.is_zero()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -230,6 +212,14 @@ class LaurentPoly:
         for e in sorted(self.terms):
             bits.append(f"({scalar_str(self.terms[e])})*t^{list(e)}/2")
         return "LaurentPoly(" + " + ".join(bits) + ")"
+
+
+def _raw(rank: int, terms: dict) -> LaurentPoly:
+    """A LaurentPoly around terms that already hold no zero coefficient."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.rank = rank
+    p.terms = terms
+    return p
 
 
 # -- binomial division -----------------------------------------------------
@@ -397,17 +387,37 @@ class RootFactor:
                 f"target={scalar_str(self.target)}, mult={self.mult})")
 
 
+def _add_root_factor(den: dict, root, target: QScalar, mult: int,
+                     num: LaurentPoly):
+    """Add (t^root - target)^mult to den, keyed by the positive root.
+
+    A negative root gamma moves a unit into the numerator,
+    1/(t^gamma - c)^m = (-c)^{-m} t^{-m gamma} / (t^{-gamma} - 1/c)^m;
+    returns the key and the numerator times that unit.
+    """
+    if not root.positive:
+        root = root.negate()
+        num = num.scale((-target) ** (-mult)).shift(
+            tuple(2 * mult * x for x in root.char))
+        target = target.inverse()
+    key = (tuple(2 * x for x in root.char), target)
+    got = den.get(key)
+    den[key] = (mult if got is None else got[0] + mult, root.coords)
+    return key, num
+
+
 class RatFunc:
     """num / prod (t^beta_i - c_i)^{m_i} with beta_i positive real roots.
 
     Denominator keys are (doubled character of beta, target); values are
     (multiplicity, root coordinates).  Invariant: every stored factor is a
-    genuine pole, that is, no stored binomial divides the numerator.
-    Construction keeps it by reducing: every factor that divides the
-    numerator is cancelled.  The constructors with ``reduce=False`` keep it
-    because they only move a reduced function by a unit or an automorphism:
-    ``weyl_transform`` (the action permutes divisors), negation, and
-    multiplication by a nonzero scalar.  Products lean on it: a factor of
+    genuine pole, that is, no stored binomial divides the numerator.  The
+    constructor stores what it is given and never reduces, so only reduced
+    pairs reach it: polynomials, or a reduced function moved by a unit or
+    an automorphism (``weyl_transform``, since the action permutes
+    divisors; negation; multiplication by a nonzero scalar).  Sums,
+    products and ``with_den_factor`` cancel the new factors that divide
+    the numerator before they return.  Products lean on it: a factor of
     one operand can only cancel against the other numerator.  Unless the
     datum is ``relaxed``, distinct keys cut coprime binomials, so the
     reduced form is canonical: sums try only keys of equal multiplicity,
@@ -418,39 +428,33 @@ class RatFunc:
     # _twists: {group element: ^w self}, created by the first weyl_transform
     __slots__ = ("datum", "num", "den", "_twists")
 
-    def __init__(self, datum, num: LaurentPoly, den=None, reduce: bool = True):
+    def __init__(self, datum, num: LaurentPoly, den=None):
         self.datum = datum
         self.num = num
-        self.den = dict(den) if den else {}
-        if num.is_zero():
-            self.den = {}
-        elif reduce and self.den:
-            self._reduce()
+        self.den = dict(den) if den and not num.is_zero() else {}
 
     # construction helpers
 
     @classmethod
     def from_poly(cls, datum, poly: LaurentPoly) -> "RatFunc":
-        return cls(datum, poly, None, reduce=False)
+        return cls(datum, poly)
 
     @classmethod
     def from_scalar(cls, datum, c: QScalar) -> "RatFunc":
-        return cls(datum, LaurentPoly.monomial(datum.rank, (0,) * datum.rank, c),
-                   None, reduce=False)
+        return cls(datum, LaurentPoly.monomial(datum.rank, (0,) * datum.rank, c))
 
     @classmethod
     def one(cls, datum) -> "RatFunc":
-        return cls(datum, LaurentPoly.one(datum.rank), None, reduce=False)
+        return cls(datum, LaurentPoly.one(datum.rank))
 
     @classmethod
     def zero(cls, datum) -> "RatFunc":
-        return cls(datum, LaurentPoly.zero(datum.rank), None, reduce=False)
+        return cls(datum, LaurentPoly.zero(datum.rank))
 
     @classmethod
     def character(cls, datum, char, coef: QScalar = _ONE,
                   half: bool = False) -> "RatFunc":
-        return cls(datum, LaurentPoly.character(datum.rank, char, coef, half),
-                   None, reduce=False)
+        return cls(datum, LaurentPoly.character(datum.rank, char, coef, half))
 
     def with_den_factor(self, root, target: QScalar, mult: int = 1) -> "RatFunc":
         """self / (t^root - target)^mult; root may be a negative real root."""
@@ -460,23 +464,9 @@ class RatFunc:
             raise LaurentError("denominator target must be a nonzero scalar")
         if mult == 0 or self.is_zero():
             return self
-        num = self.num
         den = dict(self.den)
-        coords = root.coords
-        char = root.char
-        if root.positive:
-            key = (tuple(2 * x for x in char), target)
-            rep = coords
-        else:
-            # 1/(t^gamma - c)^m = (-c)^{-m} t^{-m gamma} / (t^{-gamma} - 1/c)^m
-            pos = root.negate()
-            key = (tuple(2 * x for x in pos.char), target.inverse())
-            rep = pos.coords
-            scalar = (-target) ** (-mult)
-            num = num.scale(scalar).shift(tuple(2 * mult * x for x in pos.char))
-        old = den.get(key)
-        den[key] = (mult if old is None else old[0] + mult, rep)
-        out = RatFunc(self.datum, num, den, reduce=False)
+        key, num = _add_root_factor(den, root, target, mult, self.num)
+        out = RatFunc(self.datum, num, den)
         # the other factors are poles of self, and num is self.num times a unit
         out._reduce([key])
         return out
@@ -569,29 +559,22 @@ class RatFunc:
                 b_extra = fac if b_extra is None else b_extra * fac
         a = self.num if a_extra is None else self.num * a_extra
         b = other.num if b_extra is None else other.num * b_extra
-        out = RatFunc(self.datum, a + b, union, reduce=False)
+        out = RatFunc(self.datum, a + b, union)
         if out.den:
             out._reduce(None if self.datum.relaxed else equal)
         return out
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.datum, -self.num, self.den, reduce=False)
+        return RatFunc(self.datum, -self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, QScalar):
-            return RatFunc(self.datum, self.num.scale(other), self.den,
-                           reduce=False)
-        # Both operands are reduced, so a factor of one side's denominator
-        # cancels only if it shares a factor with the other numerator, which
-        # a lone line of that numerator rules out (cross-cancellation).
+            return RatFunc(self.datum, self.num.scale(other), self.den)
         if isinstance(other, LaurentPoly):
-            out = RatFunc(self.datum, self.num * other, self.den, reduce=False)
-            out._reduce([key for key in out.den
-                         if not _has_lone_line(other, key[0])])
-            return out
+            other = RatFunc(self.datum, other)
         if self.datum is not other.datum:
             raise RootDatumError("mixed root data")
         if self.is_zero() or other.is_zero():
@@ -600,7 +583,10 @@ class RatFunc:
         for key, (m, rep) in other.den.items():
             got = den.get(key)
             den[key] = (m, rep) if got is None else (got[0] + m, rep)
-        out = RatFunc(self.datum, self.num * other.num, den, reduce=False)
+        # Both operands are reduced, so a factor of one side's denominator
+        # cancels only if it shares a factor with the other numerator, which
+        # a lone line of that numerator rules out (cross-cancellation).
+        out = RatFunc(self.datum, self.num * other.num, den)
         out._reduce([
             key for key in den
             if not (key in self.den and _has_lone_line(other.num, key[0]))
@@ -641,20 +627,10 @@ class RatFunc:
         num = self.num.transform_exponents(cmat)
         den: dict = {}
         for (_dchar, target), (m, rep) in self.den.items():
-            root = self.datum.root_from_coords(rep)
-            img = self.datum.apply_root_matrix(w, root)
-            if img.positive:
-                key = (tuple(2 * x for x in img.char), target)
-                rep2 = img.coords
-            else:
-                pos = img.negate()
-                key = (tuple(2 * x for x in pos.char), target.inverse())
-                rep2 = pos.coords
-                num = num.scale((-target) ** (-m)).shift(
-                    tuple(2 * m * x for x in pos.char))
-            got = den.get(key)
-            den[key] = (m, rep2) if got is None else (got[0] + m, rep2)
-        out = memo[w] = RatFunc(self.datum, num, den, reduce=False)
+            img = self.datum.apply_root_matrix(
+                w, self.datum.root_from_coords(rep))
+            num = _add_root_factor(den, img, target, m, num)[1]
+        out = memo[w] = RatFunc(self.datum, num, den)
         return out
 
     def __repr__(self):

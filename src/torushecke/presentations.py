@@ -168,7 +168,7 @@ def length_additive_suite(datum: RootDatum, max_length: int = 2) -> RelationRepo
 # torus characters against generators
 
 
-def _default_finite_samples(datum: RootDatum) -> list:
+def _finite_samples(datum: RootDatum) -> list:
     basis = []
     for k in range(datum.rank):
         v = [0] * datum.rank
@@ -182,11 +182,12 @@ def _default_finite_samples(datum: RootDatum) -> list:
                 out.append(s)
     return out
 
-def bernstein_suite(datum: RootDatum,
-                    lam_samples: Optional[Sequence] = None) -> RelationReport:
+
+def bernstein_suite(datum: RootDatum) -> RelationReport:
     """Commutation and conjugation laws between characters and generators.
 
-    For every generator there must be a sample with pairing one against
+    The samples are the basis characters and their pairwise sums.  For
+    every generator there must be a sample with pairing one against
     its coroot; a missing one raises ValueError.  Pairing-zero samples
     are required only when the rank allows them.  The literal relation
     "5.3.4" is evaluated as stated and is allowed to come out unequal,
@@ -195,8 +196,7 @@ def bernstein_suite(datum: RootDatum,
     if datum.kind != "finite":
         raise ValueError("bernstein suite runs on finite data; "
                          "use the daha suite for affine data")
-    samples = [tuple(v) for v in lam_samples] if lam_samples is not None \
-        else _default_finite_samples(datum)
+    samples = _finite_samples(datum)
     entries = []
 
     for ia, lam in enumerate(samples):
@@ -238,13 +238,12 @@ def bernstein_suite(datum: RootDatum,
     return RelationReport(entries)
 
 
-def verify_finite_suite(datum: RootDatum,
-                        lam_samples: Optional[Sequence] = None) -> RelationReport:
+def verify_finite_suite(datum: RootDatum) -> RelationReport:
     """The whole finite battery: quadratic, braid, products, characters."""
     report = quadratic_suite(datum)
     report = report.merge(braid_suite(datum))
     report = report.merge(length_additive_suite(datum))
-    report = report.merge(bernstein_suite(datum, lam_samples))
+    report = report.merge(bernstein_suite(datum))
     return report
 
 
@@ -275,12 +274,13 @@ def _embedded_finite_weights(datum: RootDatum) -> list:
     return out
 
 
-def verify_daha_suite(datum: RootDatum,
-                      lam_samples: Optional[Sequence] = None) -> RelationReport:
+def verify_daha_suite(datum: RootDatum) -> RelationReport:
     """Relations of the double affine presentation in the full realization.
 
     Needs affine data whose character lattice actually contains the
     null character (the default affine presets, not the -der variants).
+    The samples are the level-zero finite weights of
+    ``_embedded_finite_weights``.
     """
     if datum.kind != "affine":
         raise ValueError("daha suite needs affine data")
@@ -288,8 +288,7 @@ def verify_daha_suite(datum: RootDatum,
     if not any(delta):
         raise ValueError("daha suite needs the full realization; "
                          "the derived quotient has no null character")
-    samples = [tuple(v) for v in lam_samples] if lam_samples is not None \
-        else _embedded_finite_weights(datum)
+    samples = _embedded_finite_weights(datum)
     theta = datum.affine.theta
     alpha0 = datum.simple_root_obj(0)
     assert alpha0.char == tuple(d - t for d, t in zip(delta, theta.char)), \

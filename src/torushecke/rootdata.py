@@ -337,12 +337,12 @@ class RootDatum:
 
     def __init__(self, cartan: CartanMatrix, kind: str,
                  simple_roots: tuple[Vec, ...], simple_coroots: tuple[Vec, ...],
-                 affine: AffineData | None, relaxed: bool = False):
+                 relaxed: bool = False):
         self.cartan = cartan
         self.kind = kind
         self.simple_roots = simple_roots
         self.simple_coroots = simple_coroots
-        self.affine = affine
+        self.affine: AffineData | None = None  # set by build_datum
         self.relaxed = relaxed
         self.n = cartan.n
         self.rank = len(simple_roots[0]) if simple_roots else 0
@@ -511,49 +511,29 @@ def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
     """
     kind = classify_cartan(A)
     n = A.n
-    if choice == "default":
-        if kind == "finite":
-            roots = tuple(
-                tuple(A.entries[i][j] for i in range(n)) for j in range(n)
-            )
-            coroots = tuple(
-                tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
-            )
-            return RootDatum(A, kind, roots, coroots, None)
-        marks, comarks = _affine_invariants(A)
-        r = n + 1  # n simple coroots plus the scaling cocharacter
-        roots = tuple(
-            tuple(A.entries[i][j] for i in range(n)) + ((1,) if j == 0 else (0,))
-            for j in range(n)
-        )
-        coroots = tuple(
-            tuple(1 if k == i else 0 for k in range(r)) for i in range(n)
-        )
-        datum = RootDatum(A, kind, roots, coroots, None)
-        datum.affine = _make_affine_data(datum, marks, comarks)
-        return datum
-    if choice == "derived":
-        if kind != "affine":
-            raise RootDatumError("the derived realization only exists for affine kind")
-        marks, comarks = _affine_invariants(A)
-        roots = tuple(
-            tuple(A.entries[i][j] for i in range(n)) for j in range(n)
-        )
-        coroots = tuple(
-            tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
-        )
-        datum = RootDatum(A, kind, roots, coroots, None, relaxed=True)
-        datum.affine = _make_affine_data(datum, marks, comarks)
-        return datum
     if isinstance(choice, dict):
         roots = tuple(tuple(int(x) for x in v) for v in choice["roots"])
         coroots = tuple(tuple(int(x) for x in v) for v in choice["coroots"])
-        datum = RootDatum(A, kind, roots, coroots, None)
-        if kind == "affine":
-            marks, comarks = _affine_invariants(A)
-            datum.affine = _make_affine_data(datum, marks, comarks)
-        return datum
-    raise RootDatumError(f"unknown lattice choice {choice!r}")
+    elif choice in ("default", "derived"):
+        if choice == "derived" and kind != "affine":
+            raise RootDatumError("the derived realization only exists for affine kind")
+        # the full affine realization adds one coordinate, the pairing
+        # with a scaling cocharacter d: <d, alpha_j> = 1 for j = 0, else 0
+        scaling = kind == "affine" and choice == "default"
+        extra = [(1,)] + [(0,)] * (n - 1) if scaling else [()] * n
+        roots = tuple(
+            tuple(A.entries[i][j] for i in range(n)) + extra[j] for j in range(n)
+        )
+        r = n + 1 if scaling else n
+        coroots = tuple(
+            tuple(1 if k == i else 0 for k in range(r)) for i in range(n)
+        )
+    else:
+        raise RootDatumError(f"unknown lattice choice {choice!r}")
+    datum = RootDatum(A, kind, roots, coroots, relaxed=choice == "derived")
+    if kind == "affine":
+        datum.affine = _make_affine_data(datum, *_affine_invariants(A))
+    return datum
 
 
 def _make_affine_data(datum: RootDatum, marks, comarks) -> AffineData:

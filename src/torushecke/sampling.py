@@ -28,10 +28,11 @@ __all__ = [
 ]
 
 
-def random_scalar(rng: random.Random, deg: int = 2) -> QScalar:
-    """A nonzero element of Z[q, q^-1] of small degree."""
+def random_scalar(rng: random.Random) -> QScalar:
+    """A nonzero element of Z[q, q^-1]: a polynomial of degree at most 2
+    with coefficients in -3..3, times q^-1, 1 or q."""
     while True:
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(deg + 1))
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(3))
         if any(coeffs):
             break
     shift = rng.randint(-1, 1)
@@ -51,12 +52,11 @@ def random_weight(datum: RootDatum, rng: random.Random, span: int = 2):
     return tuple(rng.randint(-span, span) for _ in range(datum.rank))
 
 
-def random_laurent_poly(datum: RootDatum, rng: random.Random,
-                        terms: int = 3, span: int = 2) -> LaurentPoly:
-    """A random Laurent polynomial with integer character exponents."""
+def random_laurent_poly(datum: RootDatum, rng: random.Random) -> LaurentPoly:
+    """A sum of three random terms with integer character exponents in -2..2."""
     out = LaurentPoly.zero(datum.rank)
-    for _ in range(terms):
-        exp = tuple(2 * x for x in random_weight(datum, rng, span))
+    for _ in range(3):
+        exp = tuple(2 * x for x in random_weight(datum, rng))
         out = out + LaurentPoly.monomial(datum.rank, exp, random_scalar(rng))
     if out.is_zero():
         out = LaurentPoly.one(datum.rank)
@@ -64,9 +64,10 @@ def random_laurent_poly(datum: RootDatum, rng: random.Random,
 
 
 def random_small_algebra_element(datum: RootDatum, rng: random.Random,
-                                 terms: int = 3, word_len: int = 2,
-                                 char_span: int = 1) -> AlgebraElement:
-    """A member of the small algebra: sums of words in sigma_i and t^lambda."""
+                                 terms: int = 3,
+                                 word_len: int = 2) -> AlgebraElement:
+    """A member of the small algebra: sums of words in sigma_i and t^lambda,
+    with character entries in -1..1."""
     out = AlgebraElement.zero(datum)
     for _ in range(terms):
         piece = AlgebraElement.from_function(
@@ -76,20 +77,20 @@ def random_small_algebra_element(datum: RootDatum, rng: random.Random,
                 lab = rng.choice(datum.labels)
                 piece = piece * make_sigma(datum, lab)
             else:
-                lam = random_weight(datum, rng, char_span)
+                lam = random_weight(datum, rng, 1)
                 piece = piece * AlgebraElement.character(datum, lam)
         out = out + piece
     return out
 
 
-def random_outlier(datum: RootDatum, rng: random.Random,
-                   hq_terms: int = 1) -> AlgebraElement:
+def random_outlier(datum: RootDatum, rng: random.Random) -> AlgebraElement:
     """An element of the big algebra outside the small one.
 
     Takes f/(t^alpha - 1) ([e] - [s_alpha]) with monomial f, whose
     residues cancel but whose reflection coefficient cannot vanish on
     t^alpha = q^-2, and shifts it by a random small-algebra element;
-    the coset argument keeps the sum outside.
+    the coset argument keeps the sum outside.  The shift is one word of
+    length one.
     """
     lab = rng.choice(datum.labels)
     alpha = datum.simple_root_obj(lab)
@@ -98,7 +99,4 @@ def random_outlier(datum: RootDatum, rng: random.Random,
     f = RatFunc.character(datum, lam, random_scalar(rng)).with_den_factor(
         alpha, QScalar.one())
     out = AlgebraElement(datum, {datum.identity: f, s: -f})
-    if hq_terms:
-        out = out + random_small_algebra_element(datum, rng, terms=hq_terms,
-                                                 word_len=1)
-    return out
+    return out + random_small_algebra_element(datum, rng, terms=1, word_len=1)

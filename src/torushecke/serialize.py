@@ -12,9 +12,9 @@ import json
 
 from .algebra import AlgebraElement
 from .laurent import LaurentError, LaurentPoly, RatFunc
-from .rootdata import (RootDatum, RootDatumError, canonicalize_word,
-                       is_real_root, positive_real_roots_up_to_height,
-                       weyl_ball)
+from .rootdata import (CartanMatrix, RootDatum, RootDatumError, build_datum,
+                       canonicalize_word, is_real_root,
+                       positive_real_roots_up_to_height, weyl_ball)
 from .scalars import QScalar, ScalarParseError, parse_scalar, scalar_str
 
 SCHEMA = "1"
@@ -156,6 +156,37 @@ def datum_to_dict(datum: RootDatum, max_height: int = 3,
         {"word": list(w.word), "length": w.length}
         for w in weyl_ball(datum, max_length)]
     return out
+
+
+def _int_rows(value, where: str) -> tuple:
+    if isinstance(value, list):
+        try:
+            return tuple(_int_vector(row, where) for row in value)
+        except SerializeError:
+            pass
+    raise SerializeError(f"{where} must be a list of integer vectors")
+
+
+def datum_from_dict(data, source: str) -> RootDatum:
+    """The datum of a datum file: a 'cartan' matrix and either a 'choice'
+    string or explicit 'roots' and 'coroots', all entries JSON integers."""
+    if not isinstance(data, dict) or "cartan" not in data:
+        raise SerializeError(f"{source}: datum file needs a 'cartan' matrix")
+    cartan = CartanMatrix(_int_rows(data["cartan"], f"{source}: 'cartan'"))
+    choice = data.get("choice", "default")
+    if not isinstance(choice, str):
+        raise SerializeError(
+            f"{source}: 'choice' must be a string; give explicit "
+            "vectors as 'roots' and 'coroots'")
+    if "roots" in data or "coroots" in data:
+        for field in ("roots", "coroots"):
+            if field not in data:
+                raise SerializeError(
+                    f"{source}: 'roots' and 'coroots' come together; "
+                    f"{field!r} is missing")
+        choice = {field: _int_rows(data[field], f"{source}: {field!r}")
+                  for field in ("roots", "coroots")}
+    return build_datum(cartan, choice)
 
 
 def dump_report(payload: dict) -> str:

@@ -1,0 +1,152 @@
+"""Byte pins for the exact-layer reports.
+
+The sha256 of every `verify -o` report on the data each suite accepts
+among A2, B2, G2 and A2aff (six samples, seed 0), and of `nf -o` on a
+few fixed element files.  A refactor of the exact layers must leave
+every byte of these reports unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from torushecke.cli import run_cli
+
+SAMPLES = "6"
+
+# (suite, datum) -> sha256 of the `verify -o` bytes
+VERIFY_DIGESTS = {
+    ("action-preservation", "A2"):
+        "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
+    ("action-preservation", "A2aff"):
+        "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
+    ("action-preservation", "B2"):
+        "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
+    ("action-preservation", "G2"):
+        "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
+    ("bernstein", "A2"):
+        "9cc44e9e08695f28a15a21d061ae67cd222d40c362068341acf3b34af79ba095",
+    ("bernstein", "B2"):
+        "9cc44e9e08695f28a15a21d061ae67cd222d40c362068341acf3b34af79ba095",
+    ("bernstein", "G2"):
+        "9cc44e9e08695f28a15a21d061ae67cd222d40c362068341acf3b34af79ba095",
+    ("braid", "A2"):
+        "f0da185844eac475097fecb7cd8c5d6d442fcd27480b10e75f6c7cd6f7120f53",
+    ("braid", "A2aff"):
+        "d2bdb5ebf625cf52187e81f16a6809c26950d9be7c575b7d495009aa5de66666",
+    ("braid", "B2"):
+        "90331b9f62018db1cd33c73b51eb7c07742bf0e0547c3a4469a5133e2566888d",
+    ("braid", "G2"):
+        "e8ff4894cf013816cceb4330965a158baa355cfc5f7fe5dbc68afa12aa97d6ec",
+    ("daha", "A2aff"):
+        "c56cf4c5079f94ff700b329272dfdb07ef9592f92559f851f53b7dc00f370522",
+    ("delta-criterion", "A2"):
+        "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
+    ("delta-criterion", "B2"):
+        "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
+    ("delta-criterion", "G2"):
+        "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
+    ("membership-closure", "A2"):
+        "5330684799c0cecbf9ebab1fd9494ed88032d48dc6ee27a6ce3b3ba0a61ac520",
+    ("membership-closure", "A2aff"):
+        "5330684799c0cecbf9ebab1fd9494ed88032d48dc6ee27a6ce3b3ba0a61ac520",
+    ("membership-closure", "B2"):
+        "5330684799c0cecbf9ebab1fd9494ed88032d48dc6ee27a6ce3b3ba0a61ac520",
+    ("membership-closure", "G2"):
+        "5330684799c0cecbf9ebab1fd9494ed88032d48dc6ee27a6ce3b3ba0a61ac520",
+    ("quadratic", "A2"):
+        "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
+    ("quadratic", "A2aff"):
+        "eb0aeb2d6604049cd9518fa1d3fa6761eb67481346779a8c3f4e1c8e9e643ca4",
+    ("quadratic", "B2"):
+        "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
+    ("quadratic", "G2"):
+        "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
+}
+
+# element files for `nf`: (name, datum, payload)
+NF_FILES = [
+    ("a2-two-terms", "A2", {"terms": [
+        {"word": [], "num": [{"coef": "(-q^4+2*q^2-2*q-1)/q", "exp": [0, 0]},
+                             {"coef": "2", "exp": [4, -2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]},
+        {"word": [1], "num": [{"coef": "(-q^2+1)/q", "exp": [0, 0]},
+                              {"coef": "q^3-q", "exp": [4, -2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]}]}),
+    ("b2-general-denominator", "B2", {"terms": [
+        {"word": [], "num": [{"coef": "-2", "exp": [-2, 4]},
+                             {"coef": "(q^3+q^2-q+1)/q^2", "exp": [0, 0]},
+                             {"coef": "2", "exp": [2, 0]},
+                             {"coef": "-2", "exp": [4, -4]}],
+         "den": [{"root": [0, 1], "target": "1", "mult": 1},
+                 {"root": [1, 0], "target": "1", "mult": 1}]},
+        {"word": [1], "num": [{"coef": "(q-1)/q^2", "exp": [0, 0]},
+                              {"coef": "-q+1", "exp": [4, -4]}],
+         "den": [{"root": [0, 1], "target": "1", "mult": 1},
+                 {"root": [1, 0], "target": "1", "mult": 1}]},
+        {"word": [2], "num": [{"coef": "-q+1", "exp": [-2, 4]},
+                              {"coef": "(q-1)/q^2", "exp": [0, 0]}],
+         "den": [{"root": [0, 1], "target": "1", "mult": 1},
+                 {"root": [1, 2], "target": "1", "mult": 1}]},
+        {"word": [2, 1], "num": [{"coef": "-1/(q+1)", "exp": [-2, 4]},
+                                 {"coef": "q^2/(q+1)", "exp": [-2, 8]},
+                                 {"coef": "1/(q^3+q^2)", "exp": [0, 0]},
+                                 {"coef": "-1/(q+1)", "exp": [0, 4]}],
+         "den": [{"root": [0, 1], "target": "1", "mult": 1},
+                 {"root": [1, 2], "target": "1", "mult": 1}]}]}),
+    ("g2-two-terms", "G2", {"terms": [
+        {"word": [], "num": [{"coef": "(q^2-3)/q^2", "exp": [0, 0]},
+                             {"coef": "2", "exp": [4, -2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]},
+        {"word": [1], "num": [{"coef": "3/q^2", "exp": [0, 0]},
+                              {"coef": "-3", "exp": [4, -2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]}]}),
+    ("a2-outlier", "A2", {"terms": [
+        {"word": [], "num": [{"coef": "3*q^3-q^2-2*q", "exp": [0, 0]},
+                             {"coef": "q^2-q-2", "exp": [2, 2]},
+                             {"coef": "-3*q^3+q^2+2*q", "exp": [4, -2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]},
+        {"word": [1], "num": [{"coef": "-q^2+q+2", "exp": [2, 2]}],
+         "den": [{"root": [1, 0], "target": "1", "mult": 1}]}]}),
+    ("a2-pole", "A2", {"terms": [
+        {"word": [1], "num": [{"coef": "1", "exp": [0, 0]}],
+         "den": [{"root": [1, 1], "target": "q^2", "mult": 1}]}]}),
+]
+
+# name -> (exit code, sha256 of the `nf -o` bytes)
+NF_DIGESTS = {
+    "a2-two-terms": (0,
+        "29966dae7caa3ed95b92342de8c2671aa8734cc4fe5c20040b6a4426c674d729"),
+    "b2-general-denominator": (0,
+        "a751bfafb2827d1440faaab0a8cdff0f6a46be742632f9664c72e7cbebb0c5ee"),
+    "g2-two-terms": (0,
+        "c726e56bdd9b9490ed67d50409be6ddeb0671682c06f370c21f7495772a9397c"),
+    "a2-outlier": (1,
+        "3619dcf923f7bbe504e06b225a3839137b029a40a53034caf705a7ed35c3f031"),
+    "a2-pole": (1,
+        "5038fc9b6ab71b076be0bb711236baa35bfac31b3d0e4dc0f71814651df56762"),
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("suite, datum", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_pinned(tmp_path, capsys, suite, datum):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "-d", datum, "--suite", suite, "--samples",
+                    SAMPLES, "--seed", "0", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert _digest(out) == VERIFY_DIGESTS[suite, datum]
+
+
+@pytest.mark.parametrize("name, datum, payload", NF_FILES,
+                         ids=[name for name, _d, _p in NF_FILES])
+def test_nf_report_bytes_pinned(tmp_path, name, datum, payload):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "nf.json"
+    code = run_cli(["nf", "-d", datum, str(path), "-o", str(out)])
+    assert (code, _digest(out)) == NF_DIGESTS[name]

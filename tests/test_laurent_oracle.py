@@ -459,5 +459,5 @@ def test_kept_twists_equal_fresh_ones(name, data, pick):
         w = ball[pick % len(ball)]
         first = x.weyl_transform(w)
         assert x.weyl_transform(w) is first
-        fresh = RatFunc(datum, x.num, x.den, reduce=False).weyl_transform(w)
+        fresh = RatFunc(datum, x.num, x.den).weyl_transform(w)
         _same(first, fresh.num, fresh.den)

@@ -244,6 +244,26 @@ def test_cli_elliptic_refuses_where_the_theta_series_overflows(
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("tau", ["15j", "20j", "70j"])
+def test_cli_prop46_refuses_where_precision_is_lost(tau, capsys):
+    # far up a long thin torus the derivatives of wp cancel to exactly 0 on
+    # some probe circles; the growth ratio would then divide rounding noise
+    assert run_cli(["elliptic", "--suite", "prop46", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert "lost double precision" in captured.err
+    assert f"Im tau = {tau[:-1]}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_braid_failure_names_the_sampling_band(capsys):
+    # at Im tau = 70, |sn| leaves the sampling band almost everywhere
+    assert run_cli(["elliptic", "--suite", "braid-failure", "--tau", "70j"]) == 2
+    captured = capsys.readouterr()
+    assert "0.05-20 x |sn_scale|" in captured.err
+    assert "Im tau = 70" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
@@ -315,6 +335,28 @@ def test_cli_datum_file_errors_exit_2(tmp_path, capsys, text, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert needle in err
+
+
+_A2_CARTAN = "[[2, -1], [-1, 2]]"
+_A2_COROOTS = "[[1, 0], [0, 1]]"
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param('{"cartan": [[2, -1.5], [-1, 2]]}', "cartan", id="float"),
+    pytest.param(f'{{"cartan": {_A2_CARTAN}, "roots": [[2, -1], [-1, 2.9]],'
+                 f' "coroots": {_A2_COROOTS}}}', "roots", id="truncated-float"),
+    pytest.param('{"cartan": [["2", -1], [-1, 2]]}', "cartan", id="string"),
+    pytest.param(f'{{"cartan": {_A2_CARTAN}, "roots": [[2, -1], [-1, 2]],'
+                 ' "coroots": [[true, 0], [0, 1]]}', "coroots", id="bool"),
+])
+def test_cli_datum_file_needs_json_integers(tmp_path, capsys, text, field):
+    # int() would truncate 2.9 to 2 and read "2" and true as integers
+    cfg = tmp_path / "datum.json"
+    cfg.write_text(text)
+    assert run_cli(["datum", "-d", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"'{field}' must be a list of integer vectors" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_module_entry_point(tmp_path):
