@@ -18,18 +18,30 @@ precision (Im tau from about 75 up to where the nome underflows near 237,
 at points with large Im v) evaluation refuses with ``EllipticError``,
 which the CLI turns into exit code 2.  From about Im tau = 15 the prop46
 probes lose every digit on some circles, and ``verify_prop46`` refuses
-the same way instead of measuring rounding noise.
+the same way instead of measuring rounding noise.  Above Im tau = 5 the
+braid gap is too small for its fixed bound, and ``check_elliptic``
+refuses braid-failure.  At the other end, a curve with |nome| above 0.75
+is refused at construction: theta_4(0) is lost in rounding there.
 
 Operators carry one evaluable coefficient per Weyl element; products
 twist by the reflection action on the adjoint coordinates x_i, the
 additive avatars of t^{alpha_i}.  Everything downstream (involution,
 braid-failure, the basis membership checks) samples points off the
 divisors and measures deviations against stated tolerances.
+
+A product of operators reads each generator coefficient at many twisted
+points, and prop46 reads each wp^(m)(t - xi) on the contours of two
+elements.  So each suite call keeps one memo per coefficient, sn(c)/sn(x)
+by x and wp^(m)(t - xi) by t, and evaluates each value once; the memos
+go with the call (nothing is kept on the curve or the module, so two
+suites on one curve share nothing).  A point whose evaluation raises is
+not kept.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -50,6 +62,11 @@ __all__ = [
 ]
 
 _TERMS = 200
+# largest |exp(i*pi*tau)| a curve accepts (Im tau >= 0.0916)
+_NOME_MAX = 0.75
+# largest Im tau at which braid-failure runs: its gap shrinks about 4x per
+# unit of Im tau against a fixed bound
+_BRAID_IM_TAU_MAX = 5.0
 
 
 class EllipticError(ValueError):
@@ -143,6 +160,15 @@ class EllipticCurveParams:
             raise EllipticError(
                 f"period ratio {tau} has too large an imaginary part: "
                 "the nome exp(i*pi*tau) underflows to 0")
+        # as |nome| nears 1 theta_4(0) sinks below the rounding error of
+        # its O(1) terms: against mpmath, sn is off by 1e-15 at |nome|
+        # 0.73, 1e-12 at 0.85 and 1e-8 at 0.91, and sn_scale by 36% at 0.94
+        if abs(self.nome) > _NOME_MAX:
+            raise EllipticError(
+                "period ratio too close to the real axis: "
+                f"Im tau = {tau.imag:g} gives |nome| = {abs(self.nome):.4f}, "
+                f"above {_NOME_MAX}, where the theta constants lose double "
+                "precision")
         if self._near_lattice(2 * self.q_point):
             raise EllipticError("2*q_point lies on the lattice")
         c = self.q_shift
@@ -308,14 +334,13 @@ class EllipticOperator:
 
 def _rank_one_pair(params: EllipticCurveParams):
     """The coefficients sn(c)/sn(x) of [1] and 1 - sn(c)/sn(x) of [s],
-    with c the additive stand-in for q^-2."""
+    with c the additive stand-in for q^-2; both read one memo of the
+    ratio by x, which lives as long as the pair."""
     sn_c = eval_elliptic(params, "sn", params.q_shift)
-
-    def ratio(x):
-        return sn_c / eval_elliptic(params, "sn", x)
+    ratio = functools.cache(lambda x: sn_c / eval_elliptic(params, "sn", x))
 
     def rest(x):
-        return 1.0 - sn_c / eval_elliptic(params, "sn", x)
+        return 1.0 - ratio(x)
 
     return ratio, rest
 
@@ -419,6 +444,16 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
     if suite == "braid-failure":
         if datum.n != 2:
             raise EllipticError("braid-failure needs rank 2")
+        im_tau = params.tau.imag
+        if im_tau > _BRAID_IM_TAU_MAX:
+            # a torus too thin to sample at all is refused for that first
+            _sample_point(params, datum, rng)
+            raise EllipticError(
+                f"braid-failure needs Im tau <= {_BRAID_IM_TAU_MAX:g}, got "
+                f"Im tau = {im_tau:g}: the braid gap shrinks about 4x per "
+                "unit of Im tau (least gap over seeds 0-9: 2.6e-2 at 5, "
+                "1.2e-3 at 7, 1e-5 at 10), so against the fixed bound 1e-3 "
+                "it would read as the braid relation holding")
         s1, s2 = sigmas
         dev = worst(s1 * s2 * s1, s2 * s1 * s2)
         return NumericReport([NumericEntry("braid-gap", "max-deviation", dev,
@@ -518,13 +553,14 @@ def verify_prop46(params: EllipticCurveParams, m_max: int = 6,
         ("sigma", *_rank_one_pair(params)),
     ]
     for m in range(m_max + 1):
-        shift = eval_elliptic(params, "wp", c - xi, m)
-        elements.append((f"wp({m})(t-xi)[1]",
-                         lambda t, m=m: eval_elliptic(params, "wp", t - xi, m),
-                         zero))
+        # one memo per order, shared by the [1] and [s] elements: their
+        # contours use the same nodes, and the shift is its value at c
+        wp_m = functools.cache(
+            lambda t, m=m: eval_elliptic(params, "wp", t - xi, m))
+        shift = wp_m(c)
+        elements.append((f"wp({m})(t-xi)[1]", wp_m, zero))
         elements.append((f"(wp({m})(t-xi)-wp({m})(-2q-xi))[s]", zero,
-                         lambda t, m=m, shift=shift:
-                         eval_elliptic(params, "wp", t - xi, m) - shift))
+                         lambda t, wp_m=wp_m, shift=shift: wp_m(t) - shift))
 
     entries = []
     for name, f1, fs in elements:

@@ -32,14 +32,16 @@ roots are Z-independent and positive real roots pairwise non-proportional,
 so the binomials of two distinct keys are coprime; then two reduced forms
 of one function (no stored binomial divides the numerator) have the same
 keys, multiplicities and numerator (if b^m and b^n, m > n, exactly divide
-the two denominators, cross-multiplying puts b in a numerator).  Three
+the two denominators, cross-multiplying puts b in a numerator).  Four
 things use it:
 
 - sums: a key whose multiplicities differ in the operands cannot cancel,
   so only keys of equal multiplicity are tried;
 - equality: reduced forms are compared directly, with no subtraction;
 - twists: a function never changes once built, so ``weyl_transform``
-  keeps each image on the instance.
+  keeps each image on the instance;
+- residue pairs: ``check_membership`` compares the keys at t^alpha = 1
+  and decides the rest by one restriction, without forming the sum.
 
 On a degenerate (derived, ``relaxed``) affine realization distinct real
 roots can share a character vector up to sign, so distinct stored factors
@@ -345,12 +347,14 @@ def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     if poly.is_zero():
         return poly
     u0, g, _ = _linear_form(alpha_doubled)
+    scale = not target.is_one()
     out: dict[ExpVec, QScalar] = {}
     for e, c in poly.terms.items():
         s = sum(map(mul, u0, e)) // g
         if s:
             e = tuple(x - s * a for x, a in zip(e, alpha_doubled))
-            c = c * target ** s
+            if scale:
+                c = c * target ** s
         acc = out.get(e)
         out[e] = c if acc is None else acc + c
     return LaurentPoly(len(alpha_doubled), out)

@@ -9,9 +9,18 @@ under left multiplication by the reflection s_alpha (condition
 f_w to vanish on t^gamma = q^-2 for every gamma in the inversion set
 of its group term (condition "1.3.3").
 
-Residue cancellation is checked without computing residues: f_w and
-f_{s_alpha w} have opposite residues along the divisor exactly when
-their sum reduces to something regular there, and reduction is exact.
+Residue cancellation is checked without computing residues or the pair
+sum.  Membership refuses ``relaxed`` data, so distinct denominator keys
+cut coprime binomials and reduced forms are canonical.  A reduced f_w
+and f_{s_alpha w} then have opposite residues along t^alpha = 1 exactly
+when both or neither have a pole there: a pole on one side only cannot
+cancel.  When both have one, write the pair sum as
+(a E_a + b E_b) / (t^alpha - 1) D, where E_a and E_b are the factors of
+the other side's denominator that each side lacks; the residues cancel
+exactly when t^alpha - 1 divides a E_a + b E_b.  Restriction to the
+divisor is a ring homomorphism, so the numerators and the missing
+factors are restricted first and the restrictions multiplied; when the
+other keys agree, one restriction of a + b decides it.
 
 The condition identifiers above are the wire format used in reports.
 """
@@ -19,9 +28,10 @@ The condition identifiers above are the wire format used in reports.
 from __future__ import annotations
 
 from .algebra import AlgebraElement
-from .laurent import vanishes_on_divisor
-from .rootdata import (RootDatum, RootDatumError, inversion_set,
-                       multiply_elts, reflection_of_root)
+from .laurent import (RatFunc, expand_den_factor, restrict_to_divisor,
+                      vanishes_on_divisor)
+from .rootdata import (RootDatumError, inversion_set, multiply_elts,
+                       reflection_of_root)
 from .scalars import QScalar, scalar_str
 
 __all__ = ["Violation", "MembershipReport", "check_membership",
@@ -86,8 +96,9 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
         raise ValueError(f"level must be one of {LEVELS}")
     datum = x.datum
     # on the derived quotient the null character is zero, so alpha_0 and
-    # -theta share a character and one divisor would be split in two
-    if datum.kind == "affine" and not any(datum.affine.delta_char):
+    # -theta share a character and one divisor would be split in two; the
+    # pair rule of "1.3.2" needs distinct keys to cut coprime binomials
+    if datum.relaxed:
         raise RootDatumError(
             "membership needs the full realization; the derived quotient has "
             "no null character, so distinct roots share a divisor")
@@ -124,8 +135,8 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            pair_sum = x.coefficient(w) + x.coefficient(sw)
-            if pair_sum.pole_mult(dchar, _ONE) > 0:
+            if not _residues_cancel(x.coefficient(w), x.coefficient(sw),
+                                    dchar):
                 violations.append(Violation(
                     "1.3.2", w.word, coords,
                     "residues along t^alpha = 1 do not cancel against the "
@@ -144,6 +155,41 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
                         "1.3.3", w.word, gamma.coords,
                         "coefficient does not vanish on t^gamma = q^-2"))
     return MembershipReport(level, violations, sorted(scan))
+
+
+def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
+    """Whether f + g is regular along t^alpha = 1, without forming the sum.
+
+    f and g are reduced, on data that are not relaxed, with at most a
+    simple pole there.  Unequal multiplicities are decided by the keys;
+    for two simple poles, t^alpha - 1 must divide a E_a + b E_b as in
+    ``RatFunc.__add__``, which is tested on the restriction.
+    """
+    mult = f.pole_mult(dchar, _ONE)
+    if mult != g.pole_mult(dchar, _ONE):
+        return False
+    if not mult:
+        return True
+    lifted = _lift(f, g, dchar) + _lift(g, f, dchar)
+    return restrict_to_divisor(lifted, dchar, _ONE).is_zero()
+
+
+def _lift(f: RatFunc, g: RatFunc, dchar):
+    """f.num times the factors of g's denominator that f lacks, all
+    restricted to t^alpha = 1 first; f.num itself if it lacks none."""
+    missing = []
+    for key, (m, _rep) in g.den.items():
+        gap = m - f.den.get(key, (0,))[0]
+        if gap > 0:
+            missing.append((key, gap))
+    if not missing:
+        return f.num
+    rank = f.num.rank
+    out = restrict_to_divisor(f.num, dchar, _ONE)
+    for (fchar, target), gap in missing:
+        out = out * restrict_to_divisor(
+            expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
+    return out
 
 
 def delta_criterion(x: AlgebraElement) -> MembershipReport:

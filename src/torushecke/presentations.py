@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraElement
-from .demazure import (NotInSpan, make_sigma, make_sigma_inverse, normal_form,
+from .demazure import (make_sigma, make_sigma_inverse, normal_form,
                        sigma_along_word, sigma_of_element)
-from .laurent import LaurentPoly, RatFunc, expand_den_factor, vanishes_on_divisor
+from .laurent import RatFunc, expand_den_factor, vanishes_on_divisor
 from .membership import check_membership, delta_criterion
-from .rootdata import (RootDatum, WeylElt, act_on_character, all_positive_roots,
+from .rootdata import (RootDatum, act_on_character, all_positive_roots,
                        canonicalize_word, multiply_elts, reduced_words, weyl_ball)
-from .sampling import (random_laurent_poly, random_outlier, random_scalar,
-                       random_small_algebra_element, random_weight)
+from .sampling import (random_laurent_poly, random_outlier,
+                       random_small_algebra_element)
 from .scalars import QScalar
 
 _Q = QScalar.q_power(1)

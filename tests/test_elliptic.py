@@ -12,9 +12,11 @@ import cmath
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from torushecke import elliptic
 from torushecke.elliptic import (
     EllipticCurveParams,
     EllipticError,
@@ -192,9 +194,13 @@ def test_params_validation():
 def test_params_reject_non_finite_or_degenerate_periods():
     nan, inf = float("nan"), float("inf")
     for periods in ((0.0, 1j), (nan, 1j), (1.0, complex(0, nan)),
-                    (1.0, complex(0, inf)), (5e-324, 1j)):
+                    (1.0, complex(0, inf)), (5e-324, 1j),
+                    # |nome| above 0.75: theta_4(0) is lost in rounding
+                    (1.0, 0.09j), (1.0, 0.5 + 0.05j), (1.0, 0.001j)):
         with pytest.raises(EllipticError):
             EllipticCurveParams(*periods, 0.23 + 0.11j)
+    # |nome| = 0.73 is accepted: sn is within ~1e-15 of mpmath there
+    EllipticCurveParams(1.0, 0.1j, 0.23 + 0.11j)
     for q_point in (nan, complex(0.2, inf)):
         with pytest.raises(EllipticError):
             EllipticCurveParams(1.0, 1j, q_point)
@@ -220,6 +226,23 @@ def test_operator_suites():
         check_elliptic(params, preset_datum("A1"), "braid-failure")
     with pytest.raises(EllipticError):
         check_elliptic(params, preset_datum("A1"), "everything")
+
+
+def test_braid_failure_evaluates_each_coordinate_at_most_twice(monkeypatch):
+    # once when _sample_point draws it, once for the generator coefficients,
+    # however many products and twists read it
+    calls = Counter()
+    real = elliptic.eval_elliptic
+
+    def counting(params, which, z, m=0):
+        calls[which, complex(z), m] += 1
+        return real(params, which, z, m)
+
+    monkeypatch.setattr(elliptic, "eval_elliptic", counting)
+    check_elliptic(_params(SQUARE), preset_datum("A2"), "braid-failure",
+                   samples=25, seed=1)
+    assert len(calls) > 50
+    assert max(calls.values()) <= 2
 
 
 def test_operator_suites_deterministic():

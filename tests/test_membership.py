@@ -6,9 +6,11 @@ import pytest
 
 from torushecke.algebra import AlgebraElement
 from torushecke.demazure import sigma_along_word
-from torushecke.laurent import RatFunc
-from torushecke.membership import check_membership, delta_criterion
-from torushecke.rootdata import canonicalize_word, preset_datum
+from torushecke.laurent import LaurentPoly, RatFunc, expand_den_factor
+from torushecke.membership import (_residues_cancel, check_membership,
+                                   delta_criterion)
+from torushecke.rootdata import (canonicalize_word,
+                                 positive_real_roots_up_to_height, preset_datum)
 from torushecke.sampling import random_outlier, random_small_algebra_element
 from torushecke.scalars import QScalar
 
@@ -102,3 +104,69 @@ def test_delta_criterion_needs_finite_data():
     datum = preset_datum("A1aff")
     with pytest.raises(ValueError):
         delta_criterion(AlgebraElement.identity(datum))
+
+
+# the pair rule of "1.3.2" against the pair sum it replaces
+PAIR_DATA = ("A2", "B2", "G2", "A2aff")
+PAIR_TARGETS = (ONE, Q ** 2, Q ** -2)
+PAIR_COEFS = PAIR_TARGETS + tuple(QScalar.from_int(k) for k in (-2, -1, 3))
+
+
+def test_pair_rule_matches_the_pair_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def poly(rank):
+        exps = st.tuples(*[st.integers(-2, 2)] * rank)
+        return st.dictionaries(exps, st.sampled_from(PAIR_COEFS), min_size=1,
+                               max_size=3).map(lambda t: LaurentPoly(rank, t))
+
+    def reduced(draw, datum, roots):
+        """A reduced function; some factors cancel on the way."""
+        f = RatFunc(datum, draw(poly(datum.rank).filter(
+            lambda p: not p.is_zero())))
+        for root, target, into_num in draw(st.lists(st.tuples(
+                st.sampled_from(roots), st.sampled_from(PAIR_TARGETS),
+                st.booleans()), max_size=2)):
+            if into_num:
+                f = f * expand_den_factor(
+                    datum.rank, tuple(2 * x for x in root.char), target, 1)
+            f = f.with_den_factor(root, target, draw(st.integers(1, 2)))
+        return f
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        datum = preset_datum(data.draw(st.sampled_from(PAIR_DATA)))
+        positive = positive_real_roots_up_to_height(datum, 2)
+        roots = positive + [r.negate() for r in positive[:2]]
+        alpha = data.draw(st.sampled_from(positive))
+        dchar = tuple(2 * x for x in alpha.char)
+        f = reduced(data.draw, datum, roots)
+        g = reduced(data.draw, datum, roots)
+        how = data.draw(st.sampled_from(("none", "shared", "cancel")))
+        if how == "shared":
+            # one more key on both sides, at equal or unequal multiplicity
+            root = data.draw(st.sampled_from(roots))
+            target = data.draw(st.sampled_from(PAIR_TARGETS))
+            f = f.with_den_factor(root, target, data.draw(st.integers(1, 2)))
+            g = g.with_den_factor(root, target, data.draw(st.integers(1, 2)))
+        # alpha at multiplicity 0 or 1 on either side
+        if how == "cancel" or data.draw(st.booleans()):
+            f = f.with_den_factor(alpha, ONE)
+        if data.draw(st.booleans()):
+            g = g.with_den_factor(alpha, ONE)
+        if how == "cancel":
+            # g = h - f t^(k alpha), and t^alpha = 1 on the divisor: the
+            # residues cancel exactly where h has no pole there
+            k = data.draw(st.integers(-1, 1))
+            g = g - f * LaurentPoly.character(
+                datum.rank, tuple(k * x for x in alpha.char))
+        hypothesis.assume(f.pole_mult(dchar, ONE) <= 1)
+        hypothesis.assume(g.pole_mult(dchar, ONE) <= 1)
+        expected = not (f + g).pole_mult(dchar, ONE) > 0
+        assert _residues_cancel(f, g, dchar) is expected
+        assert _residues_cancel(g, f, dchar) is expected
+
+    check()

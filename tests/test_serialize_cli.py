@@ -264,6 +264,28 @@ def test_cli_braid_failure_names_the_sampling_band(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tau", ["10j", "15j", "20j"])
+def test_cli_braid_failure_refuses_where_the_gap_shrinks(tau, capsys):
+    # the braid gap falls under its fixed bound 1e-3 from about Im tau = 7,
+    # which would read as the braid relation holding (exit 1)
+    assert run_cli(["elliptic", "--suite", "braid-failure", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert f"Im tau = {tau[:-1]}" in captured.err
+    assert "braid gap shrinks" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["prop46", "involution", "braid-failure"])
+def test_cli_elliptic_refuses_tau_near_the_real_axis(suite, capsys):
+    # |nome| = 0.9969: theta_4(0) is lost in rounding, and sn used to be
+    # reported as evaluated at one of its poles
+    assert run_cli(["elliptic", "--suite", suite, "--tau", "0.001j"]) == 2
+    captured = capsys.readouterr()
+    assert "period ratio too close to the real axis" in captured.err
+    assert "Im tau = 0.001" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
