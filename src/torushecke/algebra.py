@@ -51,10 +51,10 @@ class AlgebraElement:
         return cls(datum, {datum.identity: f})
 
     @classmethod
-    def character(cls, datum: RootDatum, char, coef: QScalar = _ONE,
-                  half: bool = False) -> "AlgebraElement":
+    def character(cls, datum: RootDatum, char,
+                  coef: QScalar = _ONE) -> "AlgebraElement":
         """The torus character t^lambda as an element supported at the identity."""
-        return cls(datum, {datum.identity: RatFunc.character(datum, char, coef, half)})
+        return cls(datum, {datum.identity: RatFunc.character(datum, char, coef)})
 
     def is_zero(self) -> bool:
         return not self.terms

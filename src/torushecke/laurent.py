@@ -111,11 +111,9 @@ class LaurentPoly:
         return cls(rank, {tuple(exp): coef})
 
     @classmethod
-    def character(cls, rank: int, char, coef: QScalar = _ONE,
-                  half: bool = False) -> "LaurentPoly":
-        """t^lambda (or t^(lambda/2)) for a character vector in X."""
-        exp = tuple(int(x) for x in char) if half else tuple(2 * int(x) for x in char)
-        return cls.monomial(rank, exp, coef)
+    def character(cls, rank: int, char, coef: QScalar = _ONE) -> "LaurentPoly":
+        """t^lambda for a character vector in X (exponents doubled)."""
+        return cls.monomial(rank, tuple(2 * int(x) for x in char), coef)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -456,9 +454,8 @@ class RatFunc:
         return cls(datum, LaurentPoly.zero(datum.rank))
 
     @classmethod
-    def character(cls, datum, char, coef: QScalar = _ONE,
-                  half: bool = False) -> "RatFunc":
-        return cls(datum, LaurentPoly.character(datum.rank, char, coef, half))
+    def character(cls, datum, char, coef: QScalar = _ONE) -> "RatFunc":
+        return cls(datum, LaurentPoly.character(datum.rank, char, coef))
 
     def with_den_factor(self, root, target: QScalar, mult: int = 1) -> "RatFunc":
         """self / (t^root - target)^mult; root may be a negative real root."""

@@ -143,9 +143,13 @@ def braid_suite(datum: RootDatum, max_length: Optional[int] = None) -> RelationR
     return RelationReport(entries)
 
 
-def length_additive_suite(datum: RootDatum, max_length: int = 2) -> RelationReport:
+# the length_additive_suite bound: pairs of elements of length one and two
+_LENGTH_ADDITIVE_MAX = 2
+
+
+def length_additive_suite(datum: RootDatum) -> RelationReport:
     """sigma_w sigma_y = sigma_{wy} whenever lengths add, via normal form."""
-    ball = [w for w in weyl_ball(datum, max_length) if w.length > 0]
+    ball = [w for w in weyl_ball(datum, _LENGTH_ADDITIVE_MAX) if w.length > 0]
     entries = []
     for w in ball:
         for y in ball:
@@ -284,10 +288,10 @@ def verify_daha_suite(datum: RootDatum) -> RelationReport:
     """
     if datum.kind != "affine":
         raise ValueError("daha suite needs affine data")
-    delta = datum.affine.delta_char
-    if not any(delta):
+    if datum.relaxed:
         raise ValueError("daha suite needs the full realization; "
                          "the derived quotient has no null character")
+    delta = datum.affine.delta_char
     samples = _embedded_finite_weights(datum)
     theta = datum.affine.theta
     alpha0 = datum.simple_root_obj(0)
@@ -359,7 +363,13 @@ def closure_suite(datum: RootDatum, count: int = 200,
 
 def delta_criterion_suite(datum: RootDatum, count: int = 100,
                           seed: int = 0) -> RelationReport:
-    """The conjugation criterion agrees with direct membership."""
+    """The conjugation criterion agrees with direct membership.
+
+    Finite data only: the kernel Delta is a product over all positive
+    roots, so affine data raise ValueError before any sample is drawn.
+    """
+    if datum.kind != "finite":
+        raise ValueError("delta-criterion runs on finite data only")
     rng = random.Random(seed)
     entries = []
     for k in range(count):
@@ -382,7 +392,14 @@ def delta_criterion_suite(datum: RootDatum, count: int = 100,
 def action_preservation_suite(datum: RootDatum, count: int = 100,
                               seed: int = 0) -> RelationReport:
     """Operators keep Laurent polynomials polynomial, and members of the
-    small algebra preserve the ideal cut out by all t^alpha = q^-2."""
+    small algebra preserve the ideal cut out by all t^alpha = q^-2.
+
+    Finite data only: the ideal is cut out along the kernel over all
+    positive roots, so affine data raise ValueError up front.
+    """
+    if datum.kind != "finite":
+        raise ValueError("action-preservation runs on finite data only: the "
+                         "ideal half needs the kernel over all positive roots")
     rng = random.Random(seed)
     entries = []
     half = count // 2
@@ -397,12 +414,12 @@ def action_preservation_suite(datum: RootDatum, count: int = 100,
         entries.append(ReportEntry("action-poly", f"sample {k:03d}",
                                    "pass" if ok else "fail",
                                    None if ok else p))
-    roots = all_positive_roots(datum) if datum.kind == "finite" else []
     qm2 = QScalar.q_power(-2)
+    dchars = [tuple(2 * c for c in alpha.char)
+              for alpha in all_positive_roots(datum)]
     for k in range(count - half):
         p = random_small_algebra_element(datum, rng, terms=2, word_len=2)
         f = random_laurent_poly(datum, rng)
-        dchars = [tuple(2 * c for c in alpha.char) for alpha in roots]
         for dchar in dchars:
             f = f * expand_den_factor(datum.rank, dchar, qm2, 1)
         image = p.apply_to_function(RatFunc.from_poly(datum, f))

@@ -18,6 +18,7 @@ affine data, matching the usual numbering of the extended diagram.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -476,12 +477,12 @@ def _extract_canonical(datum: RootDatum, mat: Mat, matinv: Mat) -> WeylElt:
 # -- datum construction ---------------------------------------------------
 
 PRESET_MATRICES = {
-    "A1": ([[2]], "finite"),
-    "A2": ([[2, -1], [-1, 2]], "finite"),
-    "B2": ([[2, -1], [-2, 2]], "finite"),
-    "G2": ([[2, -3], [-1, 2]], "finite"),
-    "A1aff": ([[2, -2], [-2, 2]], "affine"),
-    "A2aff": ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "affine"),
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [[2, -3], [-1, 2]],
+    "A1aff": [[2, -2], [-2, 2]],
+    "A2aff": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
 }
 
 
@@ -566,7 +567,7 @@ def preset_datum(name: str) -> RootDatum:
     base, _, variant = name.partition("-")
     if base not in PRESET_MATRICES:
         raise RootDatumError(f"unknown preset {name!r}")
-    entries, _kind = PRESET_MATRICES[base]
+    entries = PRESET_MATRICES[base]
     choice = "default"
     if variant:
         if variant != "der":
@@ -654,7 +655,7 @@ def bruhat_leq(datum: RootDatum, y: WeylElt, w: WeylElt) -> bool:
     return out
 
 
-def positive_real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:
+def positive_real_roots_up_to_height(datum: RootDatum, h: float) -> list[Root]:
     """Positive real roots of height <= h by orbit closure from the simples."""
     seen: set[Vec] = set()
     frontier: list[Vec] = []
@@ -691,20 +692,12 @@ def real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:
 
 
 def all_positive_roots(datum: RootDatum) -> tuple[Root, ...]:
-    """Every positive root of a finite datum (cached)."""
+    """Every positive root of a finite datum (cached): one orbit closure
+    with no height bound, which ends because the datum is finite."""
     if datum.kind != "finite":
         raise RootDatumError("full positive-root enumeration needs finite kind")
     if datum._posroots is None:
-        h = 1
-        prev = -1
-        roots: list[Root] = []
-        while True:
-            roots = positive_real_roots_up_to_height(datum, h)
-            if len(roots) == prev:
-                break
-            prev = len(roots)
-            h += 1
-        datum._posroots = tuple(roots)
+        datum._posroots = tuple(positive_real_roots_up_to_height(datum, math.inf))
     return datum._posroots
 
 

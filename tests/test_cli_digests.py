@@ -19,8 +19,6 @@ SAMPLES = "6"
 VERIFY_DIGESTS = {
     ("action-preservation", "A2"):
         "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
-    ("action-preservation", "A2aff"):
-        "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
     ("action-preservation", "B2"):
         "0c4dc4e281bfde81e96191d8a237dec76229e86d7e5664c0f5f3e90e8626918a",
     ("action-preservation", "G2"):
@@ -140,6 +138,19 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, suite, datum):
                     SAMPLES, "--seed", "0", "-o", str(out)]) == 0
     capsys.readouterr()
     assert _digest(out) == VERIFY_DIGESTS[suite, datum]
+
+
+def test_verify_action_preservation_refuses_affine_data(tmp_path, capsys):
+    # the ideal half is cut out along the kernel over all positive roots;
+    # on affine data it used to pass with no divisor checked
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "-d", "A2aff", "--suite", "action-preservation",
+                    "--samples", SAMPLES, "--seed", "0", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: action-preservation runs on finite data only" in captured.err
+    assert "all positive roots" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, datum, payload", NF_FILES,

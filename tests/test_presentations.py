@@ -150,6 +150,23 @@ def test_sampled_suites_small_runs():
     assert {e.relation for e in action.entries} == {"action-poly", "action-ideal"}
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("a sample was drawn before the refusal")
+
+
+@pytest.mark.parametrize("suite", [delta_criterion_suite,
+                                   action_preservation_suite])
+def test_kernel_suites_refuse_affine_data_before_sampling(suite, monkeypatch):
+    # the kernel Delta is a product over all positive roots, which affine
+    # data do not have finitely many of; the refusal comes first
+    import torushecke.presentations as presentations
+    monkeypatch.setattr(presentations, "random_small_algebra_element",
+                        _no_sampling)
+    monkeypatch.setattr(presentations, "random_outlier", _no_sampling)
+    with pytest.raises(ValueError, match="finite data only"):
+        suite(preset_datum("A2aff"))
+
+
 def test_sampled_suites_are_deterministic():
     datum = preset_datum("A2")
     a = closure_suite(datum, count=4, seed=11).to_list()
@@ -158,6 +175,6 @@ def test_sampled_suites_are_deterministic():
 
 
 def test_length_additive_products_collapse():
-    rep = length_additive_suite(preset_datum("G2"), max_length=2)
+    rep = length_additive_suite(preset_datum("G2"))
     assert rep.ok
     assert all(e.relation == "5.2.2" for e in rep.entries)

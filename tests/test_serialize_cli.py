@@ -321,7 +321,12 @@ def test_cli_elliptic(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["ok"] is True
     assert all(e["check"] == "identity-deviation" for e in data["entries"])
-    assert run_cli(["elliptic", "--suite", "involution", "--tau", "zz"]) == 2
+    capsys.readouterr()
+    for flag in ("--tau", "--q"):
+        assert run_cli(["elliptic", "--suite", "involution", flag, "zz"]) == 2
+        captured = capsys.readouterr()
+        assert "complex literal like 0.3+1.1j" in captured.err
+        assert captured.out == ""
     # the shift may not be a half period
     assert run_cli(["elliptic", "--suite", "involution", "--q=-0.25"]) == 2
     assert "error" in capsys.readouterr().err
