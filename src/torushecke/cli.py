@@ -36,17 +36,20 @@ def _sampled(suite):
     def run(datum, args, seed):
         counts = {} if args.samples is None else {"count": args.samples}
         return suite(datum, seed=seed, **counts)
-    return run
+    return run, ("samples",)
 
 
-# suite name -> call(datum, args, seed); the keys are the --suite choices
+# suite name -> (call(datum, args, seed), the options among --samples and
+# --max-length it reads); the keys are the --suite choices, and giving a
+# suite an option it does not read is refused
 VERIFY_SUITES = {
-    "quadratic": lambda datum, args, seed: quadratic_suite(datum),
-    "braid": lambda datum, args, seed: braid_suite(datum, args.max_length),
+    "quadratic": (lambda datum, args, seed: quadratic_suite(datum), ()),
+    "braid": (lambda datum, args, seed: braid_suite(datum, args.max_length),
+              ("max_length",)),
     "membership-closure": _sampled(closure_suite),
     "delta-criterion": _sampled(delta_criterion_suite),
-    "bernstein": lambda datum, args, seed: bernstein_suite(datum),
-    "daha": lambda datum, args, seed: verify_daha_suite(datum),
+    "bernstein": (lambda datum, args, seed: bernstein_suite(datum), ()),
+    "daha": (lambda datum, args, seed: verify_daha_suite(datum), ()),
     "action-preservation": _sampled(action_preservation_suite),
 }
 ELLIPTIC_SUITES = ("involution", "prop46", "braid-failure")
@@ -194,9 +197,14 @@ def _suite_report(args, report):
 
 
 def _cmd_verify(args):
+    run, reads = VERIFY_SUITES[args.suite]
+    for option in ("samples", "max_length"):
+        if getattr(args, option) is not None and option not in reads:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} is not read by the {args.suite} suite")
     datum = _load_datum(args.datum)
     seed = _seed_from(args)
-    return _suite_report(args, VERIFY_SUITES[args.suite](datum, args, seed))
+    return _suite_report(args, run(datum, args, seed))
 
 
 def _cmd_elliptic(args):

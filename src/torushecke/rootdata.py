@@ -6,6 +6,15 @@ the Weyl group machinery everything downstream relies on: canonical reduced
 words, inversion sets, Bruhat order, reflections attached to arbitrary
 positive real roots, and the action on characters.
 
+A matrix is affine here when it is the extended matrix of a connected
+finite type with node 0 the affine node: its border must be minus the
+pairings of the finite part's highest root theta and coroot theta^vee
+with the finite simple coroots and roots.  That check also gives the
+marks (1, theta) and comarks (1, theta^vee), the coefficients of the null
+root delta = alpha_0 + theta and of the central cocharacter
+alpha_0^vee + theta^vee (Kac, Infinite-dimensional Lie algebras, 6.1 and
+Table Aff 1).
+
 Weyl group elements are identified by their integer matrix on the root
 lattice (s_i: alpha_j -> alpha_j - a_ij alpha_i), which is faithful for the
 finite and untwisted-affine kinds supported here.  The canonical reduced
@@ -117,7 +126,7 @@ def _eliminate(entries) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
 class CartanMatrix:
     """A symmetrizable generalized Cartan matrix a_ij = <coroot_i, root_j>."""
 
-    __slots__ = ("entries", "n", "symmetrizer")
+    __slots__ = ("entries", "n")
 
     def __init__(self, entries):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -137,10 +146,11 @@ class CartanMatrix:
                         )
         self.entries = rows
         self.n = n
-        self.symmetrizer = self._symmetrize()
+        self._check_symmetrizable()
 
-    def _symmetrize(self) -> tuple[Fraction, ...]:
-        """Positive d_i with d_i a_ij = d_j a_ji, found by graph propagation."""
+    def _check_symmetrizable(self) -> None:
+        """Raise unless positive d_i with d_i a_ij = d_j a_ji exist; they are
+        sought by graph propagation."""
         n = self.n
         a = self.entries
         d: list[Fraction | None] = [None] * n
@@ -160,7 +170,6 @@ class CartanMatrix:
                         stack.append(j)
                     elif d[j] != val:
                         raise CartanMatrixError("matrix is not symmetrizable")
-        return tuple(d)  # type: ignore[arg-type]
 
     def submatrix(self, keep: list[int]) -> "CartanMatrix":
         return CartanMatrix(
@@ -199,40 +208,15 @@ def _leading_minors_positive(A: CartanMatrix) -> bool:
         rows[k][k] > 0 for k in range(A.n))
 
 
-def _null_vector(entries) -> list[Fraction] | None:
-    """A nonzero kernel vector of a square matrix with 1-dim kernel, or None."""
-    rows, pivots = _eliminate(entries)
-    free = sorted(set(range(len(rows))) - {col for _, col in pivots})
-    if len(free) != 1:
-        return None
-    c0 = free[0]
-    v = [Fraction(0)] * len(rows)
-    v[c0] = Fraction(1)
-    for r, col in pivots:
-        v[col] = -rows[r][c0] / rows[r][col]
-    return v
-
-
-def _primitive_int_vector(v: list[Fraction]) -> list[int]:
-    from math import gcd, lcm
-
-    den = 1
-    for f in v:
-        den = lcm(den, f.denominator)
-    ints = [int(f * den) for f in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if sum(ints) < 0 or (sum(ints) == 0 and ints[0] < 0):
-        ints = [-x for x in ints]
-    return ints
-
-
 def classify_cartan(A: CartanMatrix) -> str:
     """Return 'finite', 'affine' (untwisted), or raise for anything else."""
+    return _classify(A)[0]
+
+
+def _classify(A: CartanMatrix) -> tuple[str, tuple[Vec, Vec] | None]:
+    """The kind of A and, for affine A, its marks and comarks."""
     if _leading_minors_positive(A):
-        return "finite"
+        return "finite", None
     if len(_eliminate(A.entries)[1]) == A.n:
         raise CartanMatrixError("matrix is neither finite nor affine untwisted")
     if A.n < 2 or not A.is_connected():
@@ -257,7 +241,14 @@ def classify_cartan(A: CartanMatrix) -> str:
             raise CartanMatrixError(
                 "affine matrix is not a standard (untwisted) affinization"
             )
-    return "affine"
+    # The border just checked gives A (1, theta) = 0 and (1, theta^vee)^T A
+    # = 0: row 0 is 2 - <theta^vee, theta> = 0 and row j >= 1 is the border
+    # entry plus the pairing it was checked against.  Since the finite part
+    # is nonsingular the kernel is one-dimensional, so these are the marks
+    # and comarks of the untwisted affine matrix (Kac, Table Aff 1).  The
+    # finite default realization has the standard basis as coroots, so
+    # theta^vee is its own coordinate vector.
+    return "affine", ((1, *theta.coords), (1, *theta_covec))
 
 
 class Root:
@@ -486,20 +477,6 @@ PRESET_MATRICES = {
 }
 
 
-def _affine_invariants(A: CartanMatrix) -> tuple[list[int], list[int]]:
-    marks = _null_vector(A.entries)
-    comarks = _null_vector(list(zip(*A.entries)))
-    if marks is None or comarks is None:
-        raise CartanMatrixError("affine matrix must have a one-dimensional kernel")
-    marks_i = _primitive_int_vector(marks)
-    comarks_i = _primitive_int_vector(comarks)
-    if any(m <= 0 for m in marks_i) or any(m <= 0 for m in comarks_i):
-        raise CartanMatrixError("affine null vectors are not positive")
-    if marks_i[0] != 1 or comarks_i[0] != 1:
-        raise CartanMatrixError("node 0 is not the affine node of an untwisted matrix")
-    return marks_i, comarks_i
-
-
 def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
     """Build a root datum for A.
 
@@ -510,7 +487,7 @@ def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
     verification suites do not support it), or an explicit
     {"roots": [...], "coroots": [...]} pair.
     """
-    kind = classify_cartan(A)
+    kind, marks_comarks = _classify(A)
     n = A.n
     if isinstance(choice, dict):
         roots = tuple(tuple(int(x) for x in v) for v in choice["roots"])
@@ -533,14 +510,13 @@ def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
         raise RootDatumError(f"unknown lattice choice {choice!r}")
     datum = RootDatum(A, kind, roots, coroots, relaxed=choice == "derived")
     if kind == "affine":
-        datum.affine = _make_affine_data(datum, *_affine_invariants(A))
+        datum.affine = _make_affine_data(datum, *marks_comarks)
     return datum
 
 
 def _make_affine_data(datum: RootDatum, marks, comarks) -> AffineData:
     n = datum.n
-    theta_coords = tuple([0] + list(marks[1:]))
-    theta = datum.root_from_coords(theta_coords)
+    theta = datum.root_from_coords((0, *marks[1:]))
     theta_coroot = tuple(
         sum(comarks[i] * datum.simple_coroots[i][k] for i in range(1, n))
         for k in range(datum.rank)
@@ -553,13 +529,7 @@ def _make_affine_data(datum: RootDatum, marks, comarks) -> AffineData:
         sum(comarks[i] * datum.simple_coroots[i][k] for i in range(n))
         for k in range(datum.rank)
     )
-    if not datum.relaxed and not any(delta_char):
-        raise RootDatumError("null root is the zero character in a full realization")
-    for j in range(n):
-        if _dot(c_cochar, datum.simple_roots[j]) != 0:
-            raise RootDatumError("central cocharacter pairs nontrivially with a root")
-    return AffineData(tuple(marks), tuple(comarks), theta, theta_coroot,
-                      delta_char, c_cochar)
+    return AffineData(marks, comarks, theta, theta_coroot, delta_char, c_cochar)
 
 
 def preset_datum(name: str) -> RootDatum:

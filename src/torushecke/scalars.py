@@ -31,7 +31,6 @@ denominator when v < 0.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
@@ -380,8 +379,9 @@ def scalar_str(x: QScalar) -> str:
         ns = f"({ns})"
     ds = _poly_str(x.den)
     # the denominator binds the whole term, so anything beyond a bare
-    # integer or a bare power of q gets wrapped
-    if not re.fullmatch(r"\d+|q(\^\d+)?", ds):
+    # integer or a bare power of q gets wrapped; its leading coefficient
+    # is positive, so a single term with coefficient 1 is a bare power
+    if _term_count(x.den) > 1 or (len(x.den) > 1 and x.den[-1] != 1):
         ds = f"({ds})"
     return f"{ns}/{ds}"
 
@@ -390,41 +390,48 @@ class ScalarParseError(ValueError):
     pass
 
 
-_TERM_RE = re.compile(r"([+-]?)(\d+)?(\*?q(\^(-?\d+))?)?")
+def _digits_end(text: str, pos: int) -> int:
+    """The end of the run of decimal digits starting at pos."""
+    while pos < len(text) and text[pos].isdecimal():
+        pos += 1
+    return pos
 
 
 def _parse_poly(text: str) -> dict[int, int]:
-    """Parse a sum of integer terms in q; exponents may be negative."""
-    if text.startswith("(") and text.endswith(")"):
-        depth = 0
-        ok = True
-        for i, ch in enumerate(text):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(text) - 1:
-                ok = False
-                break
-        if ok:
-            text = text[1:-1]
+    """Parse a sum of integer terms in q, optionally inside one pair of
+    parentheses; exponents may be negative.
+
+    Terms are read left to right as [+-]? digits? (*? q (^ -? digits)?)?,
+    and a term must have digits or q.
+    """
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1]
     if not text:
         raise ScalarParseError("empty polynomial")
     out: dict[int, int] = {}
     pos = 0
     while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ScalarParseError(f"cannot parse scalar near {text[pos:]!r}")
-        sign, digits, qpart, _, exp = m.groups()
-        if digits is None and qpart is None:
-            raise ScalarParseError(f"cannot parse scalar near {text[pos:]!r}")
-        coef = int(digits) if digits is not None else 1
-        if sign == "-":
-            coef = -coef
+        start = pos
+        sign = -1 if text[pos] == "-" else 1
+        if text[pos] in "+-":
+            pos += 1
+        end = _digits_end(text, pos)
+        has_q = text.startswith("q", end) or text.startswith("*q", end)
+        if end == pos and not has_q:
+            raise ScalarParseError(f"cannot parse scalar near {text[start:]!r}")
+        coef = sign * int(text[pos:end]) if end > pos else sign
+        pos = end
         e = 0
-        if qpart is not None:
-            e = int(exp) if exp is not None else 1
+        if has_q:
+            pos += 2 if text[pos] == "*" else 1
+            e = 1
+            if text.startswith("^", pos):
+                first = pos + 2 if text.startswith("-", pos + 1) else pos + 1
+                end = _digits_end(text, first)
+                if end > first:
+                    e = int(text[pos + 1:end])
+                    pos = end
         out[e] = out.get(e, 0) + coef
-        pos = m.end()
     return out
 
 
@@ -441,30 +448,17 @@ def _poly_from_terms(terms: dict[int, int]) -> tuple[int, Coeffs]:
 
 
 def parse_scalar(text: str) -> QScalar:
-    """Parse the canonical scalar grammar, e.g. 'q^2-1' or '(q^2-1)/(2*q)'."""
+    """Parse the canonical scalar grammar, e.g. 'q^2-1' or '(q^2-1)/(2*q)'.
+
+    The text splits at its first '/'; a second '/' or a parenthesis left
+    after each side sheds one outer pair is refused.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ScalarParseError("empty scalar")
-    depth = 0
-    split = -1
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ScalarParseError(f"unbalanced parentheses in {text!r}")
-        elif ch == "/" and depth == 0:
-            split = i
-            break
-    if depth != 0 and split < 0:
-        raise ScalarParseError(f"unbalanced parentheses in {text!r}")
-    if split < 0:
-        n_v, n_cs = _poly_from_terms(_parse_poly(s))
-        d_v, d_cs = 0, _UNIT
-    else:
-        n_v, n_cs = _poly_from_terms(_parse_poly(s[:split]))
-        d_v, d_cs = _poly_from_terms(_parse_poly(s[split + 1 :]))
+    num, slash, den = s.partition("/")
+    n_v, n_cs = _poly_from_terms(_parse_poly(num))
+    d_v, d_cs = _poly_from_terms(_parse_poly(den)) if slash else (0, _UNIT)
     if not d_cs:
         raise ScalarParseError("zero denominator")
     return _make(*_reduce(n_v - d_v, n_cs, d_cs))

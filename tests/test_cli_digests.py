@@ -1,9 +1,11 @@
 """Byte pins for the exact-layer reports.
 
 The sha256 of every `verify -o` report on the data each suite accepts
-among A2, B2, G2 and A2aff (six samples, seed 0), and of `nf -o` on a
-few fixed element files.  A refactor of the exact layers must leave
-every byte of these reports unchanged.
+among A2, B2, G2 and A2aff (seed 0, six samples for the sampled suites),
+of `datum -o` and `verify --suite daha -o` on the other untwisted affine
+types of rank at most 4, and of `nf -o` on a few fixed element files.
+A refactor of the exact layers must leave every byte of these reports
+unchanged.
 """
 
 import hashlib
@@ -12,8 +14,11 @@ import json
 import pytest
 
 from torushecke.cli import run_cli
+from torushecke.serialize import datum_from_dict, load_json
 
 SAMPLES = "6"
+# the suites that read --samples; the others refuse it
+SAMPLED = {"membership-closure", "delta-criterion", "action-preservation"}
 
 # (suite, datum) -> sha256 of the `verify -o` bytes
 VERIFY_DIGESTS = {
@@ -61,6 +66,36 @@ VERIFY_DIGESTS = {
         "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
     ("quadratic", "G2"):
         "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
+}
+
+# every untwisted affine type of rank <= 4 beyond A1aff and A2aff, in Kac's
+# numbering (Infinite-dimensional Lie algebras, Table Aff 1):
+# name -> (Cartan matrix, marks, comarks, sha256 of the `datum -o` bytes,
+#          sha256 of the `verify --suite daha -o` bytes)
+AFFINE_TYPES = {
+    "C2aff": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], (1, 2, 1), (1, 1, 1),
+        "a6fdc26913bfd772a869fddf9af2e941d67c2bd720761d6405946a16e7a34664",
+        "c56cf4c5079f94ff700b329272dfdb07ef9592f92559f851f53b7dc00f370522"),
+    "G2aff": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], (1, 2, 3), (1, 2, 1),
+        "1a08328cc75f46ba0491c689dcd6538d30b6f18062c31c3afdb54f794ede49a9",
+        "4d01e38820a4829756f6aa4e930c7b14d722e92f1baf0747f38b0434601af909"),
+    "A3aff": ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+        (1, 1, 1, 1), (1, 1, 1, 1),
+        "df888eb3c1879f2309ac3b2c586265d9a094b66b637a0c7fd5df66c3d9e51dce",
+        "54f91792970d287c95a5e8e4c4275def715cf65a558ebd307232c30a683ff174"),
+    "B3aff": ([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]],
+        (1, 1, 2, 2), (1, 1, 2, 1),
+        "637f84eb86d4f9be3dbfeb8ba67033d9b32e052c3516448590e4a1e5a88125c0",
+        "5004b805c55fa5f1a004a74501e5e63fbda479d8fc3a40fb9fb6d1ffe1cbb143"),
+    "C3aff": ([[2, -1, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+        (1, 2, 2, 1), (1, 1, 1, 1),
+        "47ddf96d6e4137e5ce5b1f889ba9eb2c85ef97a3da753ec481add29d8cc4f561",
+        "54f91792970d287c95a5e8e4c4275def715cf65a558ebd307232c30a683ff174"),
+    "D4aff": ([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1],
+               [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+        (1, 1, 2, 1, 1), (1, 1, 2, 1, 1),
+        "81f4a85971bd38cd36285acc3b3158ebcf93e36caffcca64185dbf8fa10f6e12",
+        "26b714920d79e1e9d36dcb89a2f3026ec06b8802485a764d01f7fb507ce02255"),
 }
 
 # element files for `nf`: (name, datum, payload)
@@ -134,8 +169,9 @@ def _digest(path) -> str:
 @pytest.mark.parametrize("suite, datum", sorted(VERIFY_DIGESTS))
 def test_verify_report_bytes_pinned(tmp_path, capsys, suite, datum):
     out = tmp_path / "report.json"
-    assert run_cli(["verify", "-d", datum, "--suite", suite, "--samples",
-                    SAMPLES, "--seed", "0", "-o", str(out)]) == 0
+    samples = ["--samples", SAMPLES] if suite in SAMPLED else []
+    assert run_cli(["verify", "-d", datum, "--suite", suite, *samples,
+                    "--seed", "0", "-o", str(out)]) == 0
     capsys.readouterr()
     assert _digest(out) == VERIFY_DIGESTS[suite, datum]
 
@@ -151,6 +187,28 @@ def test_verify_action_preservation_refuses_affine_data(tmp_path, capsys):
     assert "error: action-preservation runs on finite data only" in captured.err
     assert "all positive roots" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(AFFINE_TYPES))
+def test_untwisted_affine_types_pinned(tmp_path, capsys, name):
+    entries, marks, comarks, datum_digest, daha_digest = AFFINE_TYPES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"cartan": entries}))
+    affine = datum_from_dict(load_json(path.read_text()), name).affine
+    assert (affine.marks, affine.comarks) == (marks, comarks)
+    n = len(entries)
+    assert all(sum(entries[i][j] * marks[j] for j in range(n)) == 0
+               for i in range(n))
+    assert all(sum(comarks[i] * entries[i][j] for i in range(n)) == 0
+               for j in range(n))
+    out = tmp_path / "datum.json"
+    assert run_cli(["datum", "-d", str(path), "-o", str(out)]) == 0
+    assert _digest(out) == datum_digest
+    out = tmp_path / "daha.json"
+    assert run_cli(["verify", "-d", str(path), "--suite", "daha",
+                    "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert _digest(out) == daha_digest
 
 
 @pytest.mark.parametrize("name, datum, payload", NF_FILES,

@@ -92,11 +92,12 @@ def test_classify_cartan_g2_affine_marks():
     # G2aff with the short and long ends swapped: node 0 is not affine
     ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not a standard"),
     ([[2, -4], [-1, 2]], "not a standard"),  # twisted A2^(2)
+    ([[2, -2, 0], [-1, 2, -1], [0, -2, 2]], "not a standard"),  # D3^(2)
     ([[2, -3], [-3, 2]], "neither finite nor affine"),  # hyperbolic
     ([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], "must be connected"),
     ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
-], ids=["G2aff-swapped", "A2-twisted", "hyperbolic", "disconnected",
-        "non-symmetrizable"])
+], ids=["G2aff-swapped", "A2-twisted", "D3-twisted", "hyperbolic",
+        "disconnected", "non-symmetrizable"])
 def test_classify_cartan_rejects(entries, message):
     with pytest.raises(CartanMatrixError, match=message):
         classify_cartan(CartanMatrix(entries))

@@ -76,3 +76,17 @@ def test_parse_scalar_inputs():
     for bad in ("", "q^", "1//2", "x+1", "(q"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+
+def test_parse_scalar_odd_inputs_pinned():
+    # terms are read left to right as [+-]? digits? (*? q (^ -? digits)?)?,
+    # each side of the first '/' may shed one outer pair of parentheses
+    assert parse_scalar("q2") == Q + QScalar((2,))
+    assert parse_scalar("*q") == Q
+    assert parse_scalar("+*q") == Q
+    assert parse_scalar("2q") == Q + Q
+    assert parse_scalar("(q)") == Q
+    for bad in ("((q))", "(1/q)", "1/2/3", "q^+2", "2*", "--1", "()", "/1",
+                "0/0", "(q)+(1)"):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(bad)

@@ -190,6 +190,20 @@ def test_cli_braid_refuses_a_bound_that_checks_nothing(datum, bound, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite, option, value", [
+    ("bernstein", "--samples", "5"), ("bernstein", "--max-length", "3"),
+    ("braid", "--samples", "3"), ("membership-closure", "--max-length", "3")])
+def test_cli_verify_refuses_options_the_suite_does_not_read(
+        tmp_path, capsys, suite, option, value):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "-d", "A2", "--suite", suite, option, value,
+                    "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {option} is not read by the {suite} suite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_braid_keeps_reports_without_finite_orders(capsys):
     # every m_ij of A1aff is infinite: nothing to compare at any length
     assert run_cli(["verify", "-d", "A1aff", "--suite", "braid",
