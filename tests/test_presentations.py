@@ -20,9 +20,16 @@ from torushecke.presentations import (
     verify_daha_suite,
     verify_finite_suite,
 )
-from torushecke.demazure import sigma_along_word
-from torushecke.rootdata import preset_datum, reduced_words, weyl_ball
-from torushecke.serialize import dump_report, element_to_dict
+import torushecke.presentations as presentations
+from torushecke.demazure import sigma_along_word, sigma_of_element
+from torushecke.rootdata import (
+    CartanMatrix,
+    build_datum,
+    preset_datum,
+    reduced_words,
+    weyl_ball,
+)
+from torushecke.serialize import dump_report, element_to_dict, normal_form_to_dict
 
 
 def _tally(report):
@@ -103,13 +110,114 @@ def test_braid_suite_relaxed_affine_frozen():
     assert hashlib.sha256(dump_report({"entries": rep.to_list()}).encode()) \
         .hexdigest() == ("e23592f48faf2c119679418bb87b2b7c"
                          "2a37cfd57c4adbfe9fe1ab5c2ad9501a")
+    assert _digest(element_to_dict(sigma_along_word(datum, word))
+                   for w in weyl_ball(datum, 5)
+                   for word in reduced_words(datum, w)) == (
+        "3db0160f3134d984546bafefaefffb3a3003412e6c687157f4d2ced43cba6793")
+
+
+# -- computed values, hashed ----------------------------------------------
+# A passing report carries no computed value, so its bytes are the same on
+# every datum; these pins hash the values behind the verdicts instead.
+
+
+def _digest(payloads) -> str:
     h = hashlib.sha256()
-    for w in weyl_ball(datum, 5):
-        for word in reduced_words(datum, w):
-            x = sigma_along_word(datum, word)
-            h.update(dump_report(element_to_dict(x)).encode())
-    assert h.hexdigest() == ("3db0160f3134d984546bafefaefffb3a"
-                             "3003412e6c687157f4d2ced43cba6793")
+    for payload in payloads:
+        h.update(dump_report(payload).encode())
+    return h.hexdigest()
+
+
+def _datum(name: str):
+    if name == "G2aff":
+        return build_datum(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -3, 2]]))
+    return preset_datum(name)
+
+
+# sha256 of the serialized sigma_w: the whole group of finite data, the
+# elements up to length 4 of affine data
+SIGMA_DIGESTS = {
+    "A2": "ba7109e274c4429cf24420b33fc6550dec32d4121e3fe6537126e24c528c335d",
+    "B2": "46f188b4a51183c0dee10671889763102d92a4b9aa6e1ebb1b9275617de59a87",
+    "G2": "669ee78ea8549a7d4aaecf3c9eedb59af62ea44ea76b761dddafda0699a15c3d",
+    "A2aff": "b27be216d5f3badb3d9ff529b040b80562fab7c868254bd0a49bff4d760c079a",
+    "G2aff": "80817bb555f6adfec89c1d9303b59a6545d34bcfdfb59da19795b83f0e779de0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_DIGESTS))
+def test_sigma_values_frozen(name):
+    datum = _datum(name)
+    ball = weyl_ball(datum, 4 if datum.kind == "affine" else 6)
+    assert _digest(element_to_dict(sigma_of_element(datum, w))
+                   for w in ball) == SIGMA_DIGESTS[name]
+
+
+# sha256 of the values a sampled suite computes at seed 0: the closure
+# products with their membership reports, the length-additive products
+# with their normal forms, the delta-criterion samples with their reports
+CLOSURE_DIGESTS = {
+    "A2": "174d64aaf09f851c5d2fe9d0ad2f1be3c5a8cadbbcd04b7636bc27c945782430",
+    "B2": "c9d548492346297338f58f3b002ef6a806384ba6bd75e3d5c8f9040ca541d8dd",
+    "G2": "f3ff9fa39c1bd51437a0a368ceac57e0c98aef8bbb7e1f10c226ab37d6c0c80c",
+    "A2aff": "dbd2ffb5ca99946bf1355e51bb3b12626432a7461a9a2c375841c7898b01c081",
+}
+LENGTH_ADDITIVE_DIGESTS = {
+    "A2": "13f2bd378f83fdb00bee42a1a9d1a970d7b09e5b8754f4416bdf537dbe433d43",
+    "B2": "36bddb46eaa56cf922ebb9e31aa2342e53f1b21f2c74a568519a4ca722f6de73",
+    "G2": "06e816c71471271a03621915bf521094240bcded177e97d891673e2ae5926180",
+}
+DELTA_CRITERION_DIGESTS = {
+    "A2": "8df4ad38f89806dff2c917cf8553b7045be9d0ec8ed0e6d2daa0e84e456fd8f0",
+    "B2": "a22c6229b38b891c5b9e79d659eb541b6d6361ef8793808a8292b509e67d5784",
+    "G2": "ed943ab3877b285ac03d8216f0a6625c6cb56c8cf43c104e1e14aeac37286713",
+}
+
+
+def _recorded_digest(monkeypatch, hook, suite, datum, payload):
+    """Run a suite with ``presentations.<hook>`` wrapped so that every call
+    hashes ``payload(argument, result)``; the suite must pass."""
+    payloads = []
+    inner = getattr(presentations, hook)
+
+    def recording(x, *args):
+        out = inner(x, *args)
+        payloads.append(payload(x, out))
+        return out
+
+    monkeypatch.setattr(presentations, hook, recording)
+    assert suite(datum).ok and payloads
+    return _digest(payloads)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_DIGESTS))
+def test_closure_products_frozen(name, monkeypatch):
+    # the seed-0 products of closure_suite and their membership reports
+    assert _recorded_digest(
+        monkeypatch, "check_membership", closure_suite, preset_datum(name),
+        lambda x, rep: {"product": element_to_dict(x),
+                        "report": rep.to_dict()}) == CLOSURE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_ADDITIVE_DIGESTS))
+def test_length_additive_normal_forms_frozen(name, monkeypatch):
+    assert _recorded_digest(
+        monkeypatch, "normal_form", length_additive_suite, preset_datum(name),
+        lambda x, nf: {"product": element_to_dict(x),
+                       "normal_form": normal_form_to_dict(nf)}) \
+        == LENGTH_ADDITIVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_CRITERION_DIGESTS))
+def test_delta_criterion_reports_frozen(name, monkeypatch):
+    # the seed-0 samples, inside and outside the algebra, and the reports
+    # of the conjugation criterion on them
+    assert _recorded_digest(
+        monkeypatch, "delta_criterion", delta_criterion_suite,
+        preset_datum(name),
+        lambda x, rep: {"sample": element_to_dict(x),
+                        "report": rep.to_dict()}) \
+        == DELTA_CRITERION_DIGESTS[name]
 
 
 def test_report_entry_witness_serialization():
