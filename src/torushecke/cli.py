@@ -31,11 +31,15 @@ from .serialize import (datum_from_dict, datum_to_dict, dump_report,
                         normal_form_to_dict)
 
 
+def _given(**options) -> dict:
+    """The options that were given on the command line; the suite's own
+    signature supplies the rest."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _sampled(suite):
-    """Call a sampled suite, passing count only when --samples is given."""
     def run(datum, args, seed):
-        counts = {} if args.samples is None else {"count": args.samples}
-        return suite(datum, seed=seed, **counts)
+        return suite(datum, seed=seed, **_given(count=args.samples))
     return run, ("samples",)
 
 
@@ -52,7 +56,24 @@ VERIFY_SUITES = {
     "daha": (lambda datum, args, seed: verify_daha_suite(datum), ()),
     "action-preservation": _sampled(action_preservation_suite),
 }
-ELLIPTIC_SUITES = ("involution", "prop46", "braid-failure")
+
+
+def _on_datum(suite: str, default: str):
+    def run(params, args, seed):
+        datum = _load_datum(args.datum or default)
+        return check_elliptic(params, datum, suite, seed=seed,
+                              **_given(tol=args.tol))
+    return run, ("datum", "tol")
+
+
+# the same for elliptic, over -d, --tol and --m-max; -d defaults to the
+# preset named here
+ELLIPTIC_SUITES = {
+    "involution": _on_datum("involution", "A1"),
+    "prop46": (lambda params, args, seed: verify_prop46(
+        params, seed=seed, **_given(m_max=args.m_max)), ("m_max",)),
+    "braid-failure": _on_datum("braid-failure", "A2"),
+}
 
 
 def _load_datum(source: str):
@@ -88,6 +109,7 @@ def _arg_type(convert, accept, wording: str):
 
 
 _positive_int = _arg_type(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _arg_type(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _arg_type(float, lambda v: math.isfinite(v) and v > 0,
                             "a finite positive number")
 _complex = _arg_type(complex, lambda v: True, "a complex literal like 0.3+1.1j")
@@ -113,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("datum", _cmd_datum, "print roots and Weyl data up to bounds")
-    p.add_argument("--max-height", type=int, default=3)
-    p.add_argument("--max-length", type=int, default=3)
+    p.add_argument("--max-height", type=_nonnegative_int, default=3)
+    p.add_argument("--max-length", type=_nonnegative_int, default=3)
 
     p = command("mul", _cmd_mul, "multiply element files left to right")
     p.add_argument("files", nargs="+", help="element JSON files")
@@ -138,14 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
                 "numerical checks on a complex torus", default=None,
                 help="finite preset of rank at most 2 "
                      "(default A1, or A2 for braid-failure)")
-    p.add_argument("--suite", choices=ELLIPTIC_SUITES, required=True)
+    p.add_argument("--suite", choices=tuple(ELLIPTIC_SUITES), required=True)
     p.add_argument("--tau", type=_complex, default="1j",
                    help="period ratio, a Python complex literal")
     p.add_argument("--q", type=_complex, default="0.23+0.11j", dest="q_point",
                    help="shift point q on the curve, a Python complex literal")
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
-                   help="tolerance for the involution deviation")
-    p.add_argument("--m-max", type=int, default=6)
+    p.add_argument("--tol", type=_positive_float, default=None,
+                   help="deviation tolerance for involution and braid-failure")
+    p.add_argument("--m-max", type=int, default=None,
+                   help="highest derivative order for prop46")
     p.add_argument("--seed", type=int, default=0)
     return top
 
@@ -196,28 +219,27 @@ def _suite_report(args, report):
     return payload, 0 if report.ok else 1
 
 
-def _cmd_verify(args):
-    run, reads = VERIFY_SUITES[args.suite]
-    for option in ("samples", "max_length"):
+def _refuse_unread(args, options, reads) -> None:
+    for option in options:
         if getattr(args, option) is not None and option not in reads:
             flag = "--" + option.replace("_", "-")
             raise ValueError(f"{flag} is not read by the {args.suite} suite")
+
+
+def _cmd_verify(args):
+    run, reads = VERIFY_SUITES[args.suite]
+    _refuse_unread(args, ("samples", "max_length"), reads)
     datum = _load_datum(args.datum)
     seed = _seed_from(args)
     return _suite_report(args, run(datum, args, seed))
 
 
 def _cmd_elliptic(args):
+    run, reads = ELLIPTIC_SUITES[args.suite]
+    _refuse_unread(args, ("datum", "tol", "m_max"), reads)
     seed = _seed_from(args)
     params = EllipticCurveParams(1.0, args.tau, args.q_point)
-    if args.suite == "prop46":
-        report = verify_prop46(params, args.m_max, seed)
-    else:
-        default = "A2" if args.suite == "braid-failure" else "A1"
-        datum = _load_datum(args.datum or default)
-        report = check_elliptic(params, datum, args.suite, seed=seed,
-                                tol=args.tol)
-    return _suite_report(args, report)
+    return _suite_report(args, run(params, args, seed))
 
 
 def run_cli(argv=None) -> int:

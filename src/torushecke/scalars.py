@@ -3,17 +3,29 @@
 A scalar is stored as q^v * n(q)/d(q): an integer valuation v and two
 integer polynomials n and d with n(0) != 0 and d(0) != 0, coprime over
 Z[q] including integer content, d with a positive leading coefficient.
-Zero is v = 0, n = (), d = (1,).  The parameter q is never specialized to
-a number; every operation is exact, and the canonical form makes equality
-and hashing structural.
+The parameter q is never specialized to a number; every operation is
+exact, and the canonical form makes equality and hashing structural.
 
-Nearly every scalar the library meets lies in Z[q, q^-1], that is d = (1,).
-Those take a fast path: a product adds valuations and multiplies integer
-polynomials (Z[q] is a domain, so there is nothing to trim or cancel), a
-sum aligns valuations and strips the low zeros a cancellation leaves.
-Only a general denominator such as (q-1)/(q+1) runs the gcd reduction:
-a primitive polynomial remainder sequence over Z, so even that path
-never leaves integer arithmetic.
+Nearly every scalar the library meets lies in Z[q, q^-1], that is d = 1.
+Such a scalar keeps n packed into one Python int by the Kronecker
+substitution q -> 2^64 (L. Kronecker, 1882; D. Harvey, J. Symbolic
+Comput. 44, 2009): the int is sum c_i 2^(64 i), and its signed base-2^64
+digits are the coefficients c_i.  It also keeps a bound h on the L1 norm,
+|c_0| + |c_1| + ... <= 2^h.  Then
+
+- a product is one int product with bound h_a + h_b, because the L1 norm
+  of a product is at most the product of the L1 norms;
+- a sum is a shift and an add with bound max(h_a, h_b) + 1, and a low
+  zero digit left by a cancellation is shifted out;
+- zero is the int 0, and equality and hashing read (v, n, d).
+
+While the bounds stay below 62, every digit of such a sum or product is
+below 2^63 in size, so the coefficients can be read back.  When a bound
+reaches 62, the exact norm is read off the digits.  A scalar whose norm is
+still above 2^61 keeps n as a tuple of coefficients, as a general
+denominator such as (q-1)/(q+1) does, so each value has one form.  Those
+run the gcd reduction: a primitive polynomial remainder sequence over Z,
+so even that path never leaves integer arithmetic.
 
 The read-only ``num`` and ``den`` give the value as a reduced fraction in
 nonnegative powers of q: q^v joins the numerator when v > 0 and the
@@ -38,9 +50,15 @@ __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
 # Integer polynomials in q, dense low-to-high, no trailing zeros, () is zero.
 Coeffs = tuple[int, ...]
 
-# The denominator of every scalar in Z[q, q^-1]; the fast paths test for it
-# by identity, so every constructor stores this very tuple.
+# The denominator of every scalar in Z[q, q^-1].
 _UNIT: Coeffs = (1,)
+
+# The digit width of a packed numerator, and the bound every packed scalar
+# stays below; a scalar that is not packed has h = _LIMIT.
+_K = 64
+_MASK = (1 << _K) - 1
+_TOP = 1 << (_K - 1)
+_LIMIT = 62
 
 
 def _trim(cs) -> Coeffs:
@@ -52,23 +70,15 @@ def _trim(cs) -> Coeffs:
 
 def _low(cs) -> int:
     """Index of the lowest nonzero coefficient of a nonzero polynomial."""
-    k = 0
-    while not cs[k]:
-        k += 1
-    return k
+    return next(k for k, c in enumerate(cs) if c)
 
 
-def _shift_add(a: Coeffs, b: Coeffs, s: int) -> list[int]:
+def _shift_add(a: Coeffs, b: Coeffs, s: int) -> Coeffs:
     """a + q^s * b for s >= 0, trailing zeros trimmed."""
-    out = list(a)
-    top = s + len(b)
-    if top > len(out):
-        out.extend([0] * (top - len(out)))
+    out = list(a) + [0] * (s + len(b) - len(a))
     for i, c in enumerate(b, s):
         out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _pneg(a: Coeffs) -> Coeffs:
@@ -80,24 +90,13 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     leading coefficient of the product is nonzero."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
     return tuple(out)
 
 
-def _content(a: Coeffs) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
 def _primitive(a: Coeffs) -> Coeffs:
-    c = _content(a)  # 0 for the zero polynomial
+    c = gcd(*a)  # 0 for the zero polynomial
     return a if c <= 1 else tuple(x // c for x in a)
 
 
@@ -145,7 +144,7 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
     polynomials is primitive, so the content of every pseudo-remainder can
     be dropped, and the gcd of the contents is put back at the end.
     """
-    c = gcd(_content(a), _content(b))
+    c = gcd(*a, *b)
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -166,7 +165,7 @@ def _reduce(v: int, n: Coeffs, d: Coeffs) -> tuple[int, Coeffs, Coeffs]:
     if k:
         d, v = d[k:], v - k
     if len(d) == 1:
-        c = gcd(d[0], _content(n))
+        c = gcd(d[0], *n)
         if d[0] < 0:
             c = -c
         if c != 1:
@@ -180,34 +179,60 @@ def _reduce(v: int, n: Coeffs, d: Coeffs) -> tuple[int, Coeffs, Coeffs]:
     return v, n, (_UNIT if d == (1,) else d)
 
 
+def _unpack(n: int) -> Coeffs:
+    """The signed base-2^64 digits of a packed numerator, low to high."""
+    out = []
+    while n:
+        c = n & _MASK
+        if c >= _TOP:
+            c -= 1 << _K
+        out.append(c)
+        n = (n - c) >> _K
+    return tuple(out)
+
+
 _new = object.__new__
 
 
-def _make(v: int, n: Coeffs, d: Coeffs) -> "QScalar":
-    """A scalar from a (v, n, d) triple that is already canonical."""
+def _make(v: int, n, d: Coeffs, h: int) -> "QScalar":
+    """A scalar from fields that are already canonical."""
     x = _new(QScalar)
-    x.v = v
-    x.n = n
-    x.d = d
+    x.v, x.n, x.d, x.h = v, n, d, h
     return x
+
+
+def _scalar(v: int, n: Coeffs, d: Coeffs) -> "QScalar":
+    """The scalar of a canonical triple: n is packed exactly when d = 1 and
+    the L1 norm of n is at most 2^(_LIMIT - 1)."""
+    if d == _UNIT:
+        h = (sum(map(abs, n)) - 1).bit_length()
+        if h < _LIMIT:
+            return _make(v, sum(c << _K * i for i, c in enumerate(n)), _UNIT, h)
+    return _make(v, n, d, _LIMIT)
+
+
+def _coeffs(x: "QScalar") -> Coeffs:
+    """The numerator of x as a coefficient tuple."""
+    return _unpack(x.n) if x.h < _LIMIT else x.n
 
 
 class QScalar:
     """An element q^v * n/d of Q(q) in canonical form (see the module docstring)."""
 
-    __slots__ = ("v", "n", "d")
+    __slots__ = ("v", "n", "d", "h")
 
-    def __init__(self, num, den=(1,)):
+    def __new__(cls, num, den=(1,)):
         num = _trim(num)
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        self.v, self.n, self.d = _reduce(0, num, den)
+        return _scalar(*_reduce(0, num, den))
 
     @property
     def num(self) -> Coeffs:
         """Numerator of the value as a reduced fraction in nonnegative powers of q."""
-        return (0,) * self.v + self.n if self.v > 0 else self.n
+        n = _coeffs(self)
+        return (0,) * self.v + n if self.v > 0 else n
 
     @property
     def den(self) -> Coeffs:
@@ -218,12 +243,12 @@ class QScalar:
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return _make(0, (n,), _UNIT) if n else _ZERO
+        return _scalar(0, (n,), _UNIT) if n else _ZERO
 
     @staticmethod
     def q_power(k: int) -> "QScalar":
         """The monomial q^k, any integer k."""
-        return _make(k, (1,), _UNIT)
+        return _make(k, 1, _UNIT, 0)
 
     @staticmethod
     def zero() -> "QScalar":
@@ -239,7 +264,8 @@ class QScalar:
         return not self.n
 
     def is_one(self) -> bool:
-        return not self.v and self.n == (1,) and self.d == (1,)
+        # only a packed numerator is an int
+        return not self.v and self.n == 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -250,48 +276,47 @@ class QScalar:
         if not b:
             return self
         v, w = self.v, other.v
-        if self.d is _UNIT and other.d is _UNIT:
+        ha, hb = self.h, other.h
+        h = (ha if ha > hb else hb) + 1
+        if h <= _LIMIT:
             if v > w:
                 a, b, v, w = b, a, w, v
-            out = _shift_add(a, b, w - v)
-            if not out:
+            n = a + (b << _K * (w - v))
+            if not n:
                 return _ZERO
-            # only equal valuations can cancel the lowest term
-            if v == w and not out[0]:
-                k = _low(out)
-                del out[:k]
-                v += k
-            return _make(v, tuple(out), _UNIT)
-        a, b = _pmul(a, other.d), _pmul(b, self.d)
+            # only equal valuations can cancel the lowest digit
+            if v == w:
+                while not n & _MASK:
+                    n >>= _K
+                    v += 1
+            if h < _LIMIT:
+                return _make(v, n, _UNIT, h)
+            # the bound reached the limit: read the exact one off the digits
+            return _scalar(v, _unpack(n), _UNIT)
+        a, b = _pmul(_coeffs(self), other.d), _pmul(_coeffs(other), self.d)
         if v > w:
             a, b, v, w = b, a, w, v
-        return _make(*_reduce(v, tuple(_shift_add(a, b, w - v)),
-                              _pmul(self.d, other.d)))
+        return _scalar(*_reduce(v, _shift_add(a, b, w - v),
+                                _pmul(self.d, other.d)))
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __neg__(self) -> "QScalar":
-        return _make(self.v, _pneg(self.n), self.d)
+        n = self.n
+        return _make(self.v, -n if self.h < _LIMIT else _pneg(n), self.d, self.h)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
         a, b = self.n, other.n
         if not a or not b:
             return _ZERO
         v = self.v + other.v
-        if self.d is _UNIT and other.d is _UNIT:
-            if len(a) == 1:
-                a, b = b, a
-            if len(b) != 1:
-                return _make(v, _pmul(a, b), _UNIT)
-            # a product by c * q^k
-            c = b[0]
-            if c == 1:
-                return _make(v, a, _UNIT)
-            if c == -1:
-                return _make(v, _pneg(a), _UNIT)
-            return _make(v, tuple(c * x for x in a), _UNIT)
-        return _make(*_reduce(v, _pmul(a, b), _pmul(self.d, other.d)))
+        # |ab|_1 <= |a|_1 |b|_1, and Z[q] is a domain: nothing to strip
+        h = self.h + other.h
+        if h < _LIMIT:
+            return _make(v, a * b, _UNIT, h)
+        return _scalar(*_reduce(v, _pmul(_coeffs(self), _coeffs(other)),
+                                _pmul(self.d, other.d)))
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero():
@@ -299,18 +324,20 @@ class QScalar:
         return self * other.inverse()
 
     def inverse(self) -> "QScalar":
-        n, d = self.n, self.d
+        n, d = _coeffs(self), self.d
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(q)")
         if n[-1] < 0:
             n, d = _pneg(n), _pneg(d)
-        return _make(-self.v, d, _UNIT if n == (1,) else n)
+        return _scalar(-self.v, d, n)
 
     def __pow__(self, k: int) -> "QScalar":
         if k < 0:
             return self.inverse() ** (-k)
-        if len(self.n) == 1 and self.d is _UNIT:
-            return _make(self.v * k, (self.n[0] ** k,), _UNIT)
+        n = self.n
+        # a monomial c * q^v: a packed numerator of one digit
+        if self.h < _LIMIT and -_TOP < n < _TOP:
+            return _scalar(self.v * k, (n ** k,), _UNIT)
         out = _ONE
         base = self
         while k:
@@ -323,12 +350,8 @@ class QScalar:
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QScalar)
-            and self.v == other.v
-            and self.n == other.n
-            and self.d == other.d
-        )
+        return isinstance(other, QScalar) and (
+            self.v == other.v and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
         return hash((self.v, self.n, self.d))
@@ -340,8 +363,8 @@ class QScalar:
         return scalar_str(self)
 
 
-_ZERO = _make(0, (), _UNIT)
-_ONE = _make(0, (1,), _UNIT)
+_ZERO = _make(0, 0, _UNIT, 0)
+_ONE = _make(0, 1, _UNIT, 0)
 
 
 # -- text form ----------------------------------------------------------
@@ -461,7 +484,7 @@ def parse_scalar(text: str) -> QScalar:
     d_v, d_cs = _poly_from_terms(_parse_poly(den)) if slash else (0, _UNIT)
     if not d_cs:
         raise ScalarParseError("zero denominator")
-    return _make(*_reduce(n_v - d_v, n_cs, d_cs))
+    return _scalar(*_reduce(n_v - d_v, n_cs, d_cs))
 
 
 if __name__ == "__main__":

@@ -116,6 +116,23 @@ def test_cli_datum_from_json_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "finite"
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-height", "-5"), ("--max-length", "-2"), ("--max-height", "x")])
+def test_cli_datum_refuses_negative_bounds(option, value, capsys):
+    assert run_cli(["datum", "-d", "A2", option, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{option}: must be a non-negative integer" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_datum_accepts_zero_bounds(capsys):
+    assert run_cli(["datum", "-d", "A2", "--max-height", "0",
+                    "--max-length", "0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["positive_real_roots"] == []
+    assert data["weyl_ball"] == [{"length": 0, "word": []}]
+
+
 def test_cli_mul_then_nf(tmp_path, capsys):
     datum = preset_datum("A2")
     f1 = _write_element(tmp_path, "s1.json", sigma_along_word(datum, (1,)))
@@ -202,6 +219,36 @@ def test_cli_verify_refuses_options_the_suite_does_not_read(
     assert f"error: {option} is not read by the {suite} suite" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, option, value, flag", [
+    ("involution", "--m-max", "3", "--m-max"),
+    ("prop46", "--tol", "1e-3", "--tol"),
+    ("prop46", "-d", "G2", "--datum"),
+    ("braid-failure", "--m-max", "2", "--m-max")])
+def test_cli_elliptic_refuses_options_the_suite_does_not_read(
+        tmp_path, capsys, suite, option, value, flag):
+    # --m-max is read only by prop46; --tol and -d only by involution and
+    # braid-failure
+    out = tmp_path / "report.json"
+    assert run_cli(["elliptic", "--suite", suite, option, value,
+                    "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} is not read by the {suite} suite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_elliptic_defaults_come_from_the_suite(tmp_path):
+    # an option left out takes the suite's own default, the same report as
+    # giving that default
+    plain, given = tmp_path / "plain.json", tmp_path / "given.json"
+    assert run_cli(["elliptic", "--suite", "involution", "-o", str(plain)]) == 0
+    assert run_cli(["elliptic", "--suite", "involution", "-d", "A1",
+                    "--tol", "1e-9", "-o", str(given)]) == 0
+    assert plain.read_bytes() == given.read_bytes()
+    assert run_cli(["elliptic", "--suite", "involution", "--tol", "1e-20",
+                    "-o", str(given)]) == 1
 
 
 def test_cli_braid_keeps_reports_without_finite_orders(capsys):
