@@ -7,6 +7,8 @@ coefficients:
     (f [w]) (g [y]) = f * (^w g) [w y]
 
 so scalars from Q(q) are central but torus characters are not.
+Conjugation by the Weyl-denominator kernel Delta goes one way,
+x -> Delta^{-1} x Delta, the direction the kernel criterion reads.
 """
 
 from __future__ import annotations
@@ -78,16 +80,10 @@ class AlgebraElement:
                     del out[w]
                 else:
                     out[w] = s
-        el = AlgebraElement.__new__(AlgebraElement)
-        el.datum = self.datum
-        el.terms = out
-        return el
+        return _raw(self.datum, out)
 
     def __neg__(self) -> "AlgebraElement":
-        el = AlgebraElement.__new__(AlgebraElement)
-        el.datum = self.datum
-        el.terms = {w: -f for w, f in self.terms.items()}
-        return el
+        return _raw(self.datum, {w: -f for w, f in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -151,18 +147,17 @@ class AlgebraElement:
             out = out + fw * f.weyl_transform(w)
         return out
 
-    def conjugate_by_delta(self, inward: bool = False) -> "AlgebraElement":
-        """Conjugation by the Weyl-denominator kernel, done termwise.
+    def conjugate_by_delta(self) -> "AlgebraElement":
+        """x -> Delta^{-1} x Delta for the Weyl-denominator kernel, termwise.
 
         The kernel transforms by a unit ratio under each group term, so
         conjugation multiplies the [w]-coefficient by a closed-form factor
         built from the inversion set of w; no square roots and no actual
-        division are needed.  inward=False is x -> Delta x Delta^{-1},
-        inward=True is x -> Delta^{-1} x Delta.
+        division are needed.
         """
         out: dict[WeylElt, RatFunc] = {}
         for w, f in self.terms.items():
-            out[w] = f * conjugate_by_delta_factor(self.datum, w, inward)
+            out[w] = f * conjugate_by_delta_factor(self.datum, w)
         return AlgebraElement(self.datum, out)
 
     def __repr__(self):
@@ -173,28 +168,33 @@ class AlgebraElement:
         return "AlgebraElement({" + ", ".join(bits) + "})"
 
 
-def conjugate_by_delta_factor(datum: RootDatum, w: WeylElt,
-                              inward: bool = False) -> RatFunc:
-    """The unit Delta / ^w(Delta) as a rational function.
+def _raw(datum: RootDatum, terms: dict) -> AlgebraElement:
+    """An AlgebraElement around terms that already hold no zero coefficient."""
+    el = AlgebraElement.__new__(AlgebraElement)
+    el.datum = datum
+    el.terms = terms
+    return el
 
-    For the kernel with zeros on t^gamma = q^-2, the factors over the
-    inversion set of w flip sign and trade that zero for one on
-    t^gamma = q^2:
 
-        Delta / ^w(Delta) = prod_{gamma in D(w)} (-q^2) (t^gamma - q^-2)
-                                                        / (t^gamma - q^2)
+def conjugate_by_delta_factor(datum: RootDatum, w: WeylElt) -> RatFunc:
+    """The unit ^w(Delta) / Delta as a rational function.
 
-    inward=True gives the reciprocal ^w(Delta) / Delta, the coefficient
-    picked up under x -> Delta^{-1} x Delta; that direction divides
-    [w]-coefficients by (t^gamma - q^-2), consuming their vanishing
-    there.
+    This is the factor the [w]-coefficient picks up under
+    x -> Delta^{-1} x Delta.  For the kernel with zeros on t^gamma = q^-2,
+    the factors over the inversion set of w flip sign and trade that zero
+    for one on t^gamma = q^2:
+
+        ^w(Delta) / Delta = prod_{gamma in D(w)} (-q^-2) (t^gamma - q^2)
+                                                         / (t^gamma - q^-2)
+
+    so it divides [w]-coefficients by (t^gamma - q^-2), consuming their
+    vanishing there.
     """
-    qm2 = QScalar.q_power(-2)
-    qp2 = QScalar.q_power(2)
-    zero, pole = (qp2, qm2) if inward else (qm2, qp2)
+    zero = QScalar.q_power(2)
+    pole = QScalar.q_power(-2)
     out = RatFunc.one(datum)
     for gamma in inversion_set(datum, w):
         dchar = tuple(2 * x for x in gamma.char)
         num = expand_den_factor(datum.rank, dchar, zero, 1).scale(-pole)
-        out = (out * RatFunc.from_poly(datum, num)).with_den_factor(gamma, pole)
+        out = (out * num).with_den_factor(gamma, pole)
     return out

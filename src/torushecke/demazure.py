@@ -81,16 +81,10 @@ def make_sigma(datum: RootDatum, label: int) -> AlgebraElement:
     got = cache.get(label)
     if got is not None:
         return got
-    alpha = datum.simple_root_obj(label)
     s = canonicalize_word(datum, (label,))
-    dchar = tuple(2 * x for x in alpha.char)
-    lead_num = LaurentPoly(
-        datum.rank, {dchar: _Q, (0,) * datum.rank: -_QINV})
-    lead = RatFunc.from_poly(datum, lead_num).with_den_factor(alpha, _ONE)
-    diag_num = LaurentPoly.monomial(datum.rank, (0,) * datum.rank,
-                                    -(_Q - _QINV))
-    diag = RatFunc.from_poly(datum, diag_num).with_den_factor(alpha, _ONE)
-    out = AlgebraElement(datum, {s: lead, datum.identity: diag})
+    diag = RatFunc.from_scalar(datum, _QINV - _Q).with_den_factor(
+        datum.simple_root_obj(label), _ONE)
+    out = AlgebraElement(datum, {s: make_theta(datum, s), datum.identity: diag})
     cache[label] = out
     return out
 
@@ -151,7 +145,7 @@ def make_delta(datum: RootDatum) -> RatFunc:
             tuple(-x for x in alpha.char): _QINV,
             tuple(alpha.char): -_Q,
         })
-    return RatFunc.from_poly(datum, out)
+    return RatFunc(datum, out)
 
 
 def make_delta_inverse(datum: RootDatum) -> RatFunc:
@@ -163,7 +157,7 @@ def make_delta_inverse(datum: RootDatum) -> RatFunc:
     """
     roots = all_positive_roots(datum)
     rho_doubled = tuple(sum(a.char[k] for a in roots) for k in range(datum.rank))
-    out = RatFunc.from_poly(datum, LaurentPoly.monomial(
+    out = RatFunc(datum, LaurentPoly.monomial(
         datum.rank, rho_doubled, (-_Q) ** (-len(roots))))
     for alpha in roots:
         out = out.with_den_factor(alpha, _QM2)

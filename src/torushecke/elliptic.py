@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rootdata import RootDatum, WeylElt
+from .rootdata import RootDatum, WeylElt, canonicalize_word, multiply_elts
 
 __all__ = [
     "EllipticError",
@@ -307,7 +307,6 @@ class EllipticOperator:
         return cls(datum, {datum.identity: lambda pt: 1.0 + 0j})
 
     def __mul__(self, other: "EllipticOperator") -> "EllipticOperator":
-        from .rootdata import multiply_elts
         out: Dict[WeylElt, List[Tuple[PointFn, PointFn]]] = {}
         for w, f in self.terms.items():
             for y, g in other.terms.items():
@@ -350,7 +349,6 @@ def build_elliptic_sigma(params: EllipticCurveParams,
     """One generator per node: (sn(c)/sn(x_i))[1] + (1 - sn(c)/sn(x_i))[s_i]."""
     if datum.kind != "finite" or datum.n > 2:
         raise EllipticError("elliptic generators are built for finite rank <= 2")
-    from .rootdata import canonicalize_word
     ratio, rest = _rank_one_pair(params)
     out = []
     for lab in datum.labels:

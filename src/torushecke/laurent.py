@@ -16,16 +16,17 @@ the levels from the top.  Restriction to the divisor t^alpha = c folds
 each exponent into the bottom g levels.  Both stay in the original
 coordinates; the forms are cached per character vector.
 
-Most trial divisions are ruled out without dividing.  With
+In products most trial divisions are ruled out without dividing.  With
 alpha' = alpha / g, the lines e + Z alpha' split the exponents, and every
 factor of t^alpha - c lies in Q(q)[t^(+-alpha')]; a line that holds exactly
 one term of a polynomial therefore proves it prime to t^alpha - c.  That
 lone-line certificate is integer-only: each term is keyed by one cached
-form w with <w, alpha> = 0.  Reduction skips a factor while the numerator
-has a lone line for it.  Products cross-cancel: both operands are reduced,
-so a factor of one denominator is tried only if the other numerator has
-no lone line for it (a/b * c/d cancels only through gcd(a, d) and
-gcd(c, b)).
+form w with <w, alpha> = 0.  Only products use it, to cross-cancel: both
+operands are reduced, so a factor of one denominator is tried only if the
+other numerator has no lone line for it (a/b * c/d cancels only through
+gcd(a, d) and gcd(c, b)).  Elsewhere reduction just divides: scanning
+the numerator for a lone line costs about as much as the trial divisions
+it would skip.
 
 On data that are not ``relaxed`` the reduced form is canonical.  Simple
 roots are Z-independent and positive real roots pairwise non-proportional,
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .rootdata import RootDatumError
+from .rootdata import RootDatumError, char_matrix
 from .scalars import QScalar, scalar_str
 
 __all__ = [
@@ -438,10 +439,6 @@ class RatFunc:
     # construction helpers
 
     @classmethod
-    def from_poly(cls, datum, poly: LaurentPoly) -> "RatFunc":
-        return cls(datum, poly)
-
-    @classmethod
     def from_scalar(cls, datum, c: QScalar) -> "RatFunc":
         return cls(datum, LaurentPoly.monomial(datum.rank, (0,) * datum.rank, c))
 
@@ -475,17 +472,13 @@ class RatFunc:
     # reduction
 
     def _reduce(self, keys=None):
-        """Cancel the factors in keys (default: all) that divide num.
-
-        A factor is tried only while num has no lone line for it, since a
-        lone line proves the two coprime.
-        """
+        """Cancel the factors in keys (default: all) that divide num."""
         num = self.num
         den = self.den
         for key in list(den) if keys is None else keys:
             m, rep = den[key]
             dchar, target = key
-            while m and not _has_lone_line(num, dchar):
+            while m:
                 q, r = divide_by_binomial(num, dchar, target)
                 if not r.is_zero():
                     break
@@ -615,8 +608,6 @@ class RatFunc:
         change once built, so each image is kept on the instance: the
         cached generators are twisted once per group element.
         """
-        from . import rootdata
-
         try:
             memo = self._twists
         except AttributeError:
@@ -624,7 +615,7 @@ class RatFunc:
         got = memo.get(w)
         if got is not None:
             return got
-        cmat = rootdata.char_matrix(self.datum, w)
+        cmat = char_matrix(self.datum, w)
         num = self.num.transform_exponents(cmat)
         den: dict = {}
         for (_dchar, target), (m, rep) in self.den.items():

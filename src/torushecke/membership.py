@@ -128,13 +128,14 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
             continue
         root = datum.root_from_coords(coords)
         s_alpha = reflection_of_root(datum, root)
-        seen_pairs: set = set()
+        # s_alpha is an involution, so w was checked with its partner
+        # exactly when it is the partner of an earlier term
+        partners: set = set()
         for w in list(x.terms):
-            sw = multiply_elts(datum, s_alpha, w)
-            key = frozenset((w.mat, sw.mat))
-            if key in seen_pairs:
+            if w in partners:
                 continue
-            seen_pairs.add(key)
+            sw = multiply_elts(datum, s_alpha, w)
+            partners.add(sw)
             if not _residues_cancel(x.coefficient(w), x.coefficient(sw),
                                     dchar):
                 violations.append(Violation(
@@ -202,6 +203,4 @@ def delta_criterion(x: AlgebraElement) -> MembershipReport:
     """
     if x.datum.kind != "finite":
         raise ValueError("the kernel criterion needs a finite root datum")
-    conj = x.conjugate_by_delta(inward=True)
-    report = check_membership(conj, "htilde")
-    return report
+    return check_membership(x.conjugate_by_delta(), "htilde")

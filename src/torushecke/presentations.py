@@ -24,6 +24,7 @@ from .rootdata import (RootDatum, act_on_character, all_positive_roots,
 from .sampling import (random_laurent_poly, random_outlier,
                        random_small_algebra_element)
 from .scalars import QScalar
+from .serialize import element_to_dict
 
 _Q = QScalar.q_power(1)
 _QINV = QScalar.q_power(-1)
@@ -41,7 +42,6 @@ class ReportEntry:
         out = {"relation": self.relation, "instance": self.instance,
                "status": self.status}
         if self.status == "fail" and self.witness is not None:
-            from .serialize import element_to_dict
             out["witness"] = element_to_dict(self.witness)
         return out
 
@@ -74,6 +74,14 @@ def _entry(relation: str, instance: str, lhs: AlgebraElement,
         return ReportEntry(relation, instance, "pass")
     status = "expected-fail" if literal else "fail"
     return ReportEntry(relation, instance, status, lhs - rhs)
+
+
+def _verdict(relation: str, instance: str, ok: bool,
+             witness: AlgebraElement) -> ReportEntry:
+    """A sampled entry: pass, or fail with the witness."""
+    if ok:
+        return ReportEntry(relation, instance, "pass")
+    return ReportEntry(relation, instance, "fail", witness)
 
 
 def _fmt_word(word: Sequence[int]) -> str:
@@ -354,10 +362,8 @@ def closure_suite(datum: RootDatum, count: int = 200,
         x = random_small_algebra_element(datum, rng, terms=2, word_len=2)
         y = random_small_algebra_element(datum, rng, terms=2, word_len=2)
         prod = x * y
-        rep = check_membership(prod, "hq")
-        status = "pass" if rep.ok else "fail"
-        entries.append(ReportEntry("closure", f"product {k:03d}", status,
-                                   None if rep.ok else prod))
+        entries.append(_verdict("closure", f"product {k:03d}",
+                                check_membership(prod, "hq").ok, prod))
     return RelationReport(entries)
 
 
@@ -381,11 +387,8 @@ def delta_criterion_suite(datum: RootDatum, count: int = 100,
         direct = check_membership(x, "hq").ok
         conj = delta_criterion(x).ok
         tag = "in" if inside else "out"
-        ok = conj == direct and direct == inside
-        entries.append(ReportEntry("delta-criterion",
-                                   f"sample {k:03d} ({tag})",
-                                   "pass" if ok else "fail",
-                                   None if ok else x))
+        entries.append(_verdict("delta-criterion", f"sample {k:03d} ({tag})",
+                                conj == direct and direct == inside, x))
     return RelationReport(entries)
 
 
@@ -409,11 +412,9 @@ def action_preservation_suite(datum: RootDatum, count: int = 100,
         else:
             p = random_small_algebra_element(datum, rng, terms=2, word_len=2)
         f = random_laurent_poly(datum, rng)
-        image = p.apply_to_function(RatFunc.from_poly(datum, f))
-        ok = image.is_polynomial()
-        entries.append(ReportEntry("action-poly", f"sample {k:03d}",
-                                   "pass" if ok else "fail",
-                                   None if ok else p))
+        image = p.apply_to_function(RatFunc(datum, f))
+        entries.append(_verdict("action-poly", f"sample {k:03d}",
+                                image.is_polynomial(), p))
     qm2 = QScalar.q_power(-2)
     dchars = [tuple(2 * c for c in alpha.char)
               for alpha in all_positive_roots(datum)]
@@ -422,12 +423,10 @@ def action_preservation_suite(datum: RootDatum, count: int = 100,
         f = random_laurent_poly(datum, rng)
         for dchar in dchars:
             f = f * expand_den_factor(datum.rank, dchar, qm2, 1)
-        image = p.apply_to_function(RatFunc.from_poly(datum, f))
+        image = p.apply_to_function(RatFunc(datum, f))
         ok = image.is_polynomial()
         if ok:
             poly = image.as_poly()
             ok = all(vanishes_on_divisor(poly, dchar, qm2) for dchar in dchars)
-        entries.append(ReportEntry("action-ideal", f"sample {k:03d}",
-                                   "pass" if ok else "fail",
-                                   None if ok else p))
+        entries.append(_verdict("action-ideal", f"sample {k:03d}", ok, p))
     return RelationReport(entries)

@@ -93,6 +93,12 @@ def _dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _reflection(u: Vec, v: Vec) -> Mat:
+    """The matrix of x -> x - <v, x> u."""
+    return tuple(tuple(int(k == j) - uk * vj for j, vj in enumerate(v))
+                 for k, uk in enumerate(u))
+
+
 def _eliminate(entries) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
     """Gauss-Jordan elimination over Q of an integer matrix.
 
@@ -187,12 +193,6 @@ class CartanMatrix:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == n
-
-    def __eq__(self, other):
-        return isinstance(other, CartanMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"CartanMatrix({[list(r) for r in self.entries]})"
@@ -306,17 +306,16 @@ class WeylElt:
 
 
 class AffineData:
-    """Affine extras: marks, comarks, highest finite root, null root, central cocharacter."""
+    """Affine extras: marks, comarks, highest finite root and coroot, null root."""
 
-    __slots__ = ("marks", "comarks", "theta", "theta_coroot", "delta_char", "c_cochar")
+    __slots__ = ("marks", "comarks", "theta", "theta_coroot", "delta_char")
 
-    def __init__(self, marks, comarks, theta, theta_coroot, delta_char, c_cochar):
+    def __init__(self, marks, comarks, theta, theta_coroot, delta_char):
         self.marks = marks
         self.comarks = comarks
         self.theta = theta
         self.theta_coroot = theta_coroot
         self.delta_char = delta_char
-        self.c_cochar = c_cochar
 
 
 class RootDatum:
@@ -343,31 +342,12 @@ class RootDatum:
         )
         self._label_to_pos = {lab: i for i, lab in enumerate(self.labels)}
         self._validate()
-        # reflection matrices per generator position
-        n = self.n
-        a = cartan.entries
-        self.refl_root = tuple(
-            tuple(
-                tuple(
-                    (1 if k == j else 0) - (a[i][j] if k == i else 0)
-                    for j in range(n)
-                )
-                for k in range(n)
-            )
-            for i in range(n)
-        )
-        r = self.rank
-        self.refl_char = tuple(
-            tuple(
-                tuple(
-                    (1 if k == j else 0)
-                    - simple_roots[i][k] * simple_coroots[i][j]
-                    for j in range(r)
-                )
-                for k in range(r)
-            )
-            for i in range(n)
-        )
+        # reflection matrices per generator position: s_i on the root
+        # lattice (alpha_j -> alpha_j - a_ij alpha_i) and on characters
+        # (x -> x - <coroot_i, x> root_i)
+        ident = _mat_id(self.n)
+        self.refl_root = tuple(map(_reflection, ident, cartan.entries))
+        self.refl_char = tuple(map(_reflection, simple_roots, simple_coroots))
         # caches
         self._elts: dict[Mat, WeylElt] = {}
         self._mul: dict[tuple[Mat, Mat], WeylElt] = {}
@@ -377,7 +357,6 @@ class RootDatum:
         self._refl: dict[Vec, tuple[WeylElt, Vec]] = {}
         self._posroots: tuple[Root, ...] | None = None
         self.extra: dict = {}  # scratch space for downstream modules
-        ident = _mat_id(n)
         self.identity = WeylElt((), ident, ident)
         self._elts[ident] = self.identity
 
@@ -525,11 +504,7 @@ def _make_affine_data(datum: RootDatum, marks, comarks) -> AffineData:
         sum(marks[i] * datum.simple_roots[i][k] for i in range(n))
         for k in range(datum.rank)
     )
-    c_cochar = tuple(
-        sum(comarks[i] * datum.simple_coroots[i][k] for i in range(n))
-        for k in range(datum.rank)
-    )
-    return AffineData(marks, comarks, theta, theta_coroot, delta_char, c_cochar)
+    return AffineData(marks, comarks, theta, theta_coroot, delta_char)
 
 
 def preset_datum(name: str) -> RootDatum:

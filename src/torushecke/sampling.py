@@ -56,8 +56,8 @@ def random_laurent_poly(datum: RootDatum, rng: random.Random) -> LaurentPoly:
     """A sum of three random terms with integer character exponents in -2..2."""
     out = LaurentPoly.zero(datum.rank)
     for _ in range(3):
-        exp = tuple(2 * x for x in random_weight(datum, rng))
-        out = out + LaurentPoly.monomial(datum.rank, exp, random_scalar(rng))
+        out = out + LaurentPoly.character(
+            datum.rank, random_weight(datum, rng), random_scalar(rng))
     if out.is_zero():
         out = LaurentPoly.one(datum.rank)
     return out

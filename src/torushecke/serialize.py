@@ -86,7 +86,7 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
             raise SerializeError(f"{at}: exponent length "
                                  f"{len(exp)}, expected {datum.rank}")
         poly = poly + LaurentPoly.monomial(datum.rank, exp, coef)
-    out = RatFunc.from_poly(datum, poly)
+    out = RatFunc(datum, poly)
     for j, fac in enumerate(_list(den_part, f"{where}.den")):
         at = f"{where}.den[{j}]"
         fac = _object(fac, at)

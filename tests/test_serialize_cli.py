@@ -522,6 +522,33 @@ def test_element_from_dict_accepts_negative_real_roots():
     assert element_from_dict(datum, neg) == element_from_dict(datum, pos)
 
 
+def test_non_reduced_input_is_reduced_on_load(tmp_path):
+    # (t^a1 - 1) / ((t^a1 - 1)(t^-a1 - 1)) = 1/(t^-a1 - 1) = -t^a1/(t^a1 - 1)
+    datum = preset_datum("A2")
+    alpha = datum.simple_root_obj(1)
+    payload = {"terms": [{"word": [],
+                          "num": [{"coef": "1", "exp": [4, -2]},
+                                  {"coef": "-1", "exp": [0, 0]}],
+                          "den": [{"root": [1, 0], "target": "1"},
+                                  {"root": [-1, 0], "target": "1"}]}]}
+    f = element_from_dict(datum, payload).coefficient(datum.identity)
+    want = RatFunc.character(datum, alpha.char, -QScalar.one()).with_den_factor(
+        alpha, QScalar.one())
+    assert f == want
+    assert f.num.terms == {(4, -2): -QScalar.one()}
+    assert [(fac.root_coords, fac.mult) for fac in f.factors()] == [((1, 0), 1)]
+
+    path = tmp_path / "non-reduced.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "reduced.json"
+    assert run_cli(["mul", "-d", "A2", str(path), "-o", str(out)]) == 0
+    assert out.read_text() == dump_report(
+        element_to_dict(AlgebraElement.from_function(datum, want)))
+    assert load_json(out.read_text())["terms"] == [{
+        "word": [], "num": [{"coef": "-1", "exp": [4, -2]}],
+        "den": [{"root": [1, 0], "target": "1", "mult": 1}]}]
+
+
 @pytest.mark.parametrize("command", ["check", "nf", "mul"])
 @pytest.mark.parametrize("text, needle", [
     pytest.param('{"terms": 5}', "terms: expected a list", id="terms-int"),
