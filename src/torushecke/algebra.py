@@ -13,7 +13,7 @@ x -> Delta^{-1} x Delta, the direction the kernel criterion reads.
 
 from __future__ import annotations
 
-from .laurent import RatFunc, expand_den_factor
+from .laurent import LaurentPoly, RatFunc
 from .rootdata import (RootDatum, RootDatumError, WeylElt, inversion_set,
                        multiply_elts)
 from .scalars import QScalar
@@ -21,6 +21,8 @@ from .scalars import QScalar
 __all__ = ["AlgebraElement", "conjugate_by_delta_factor"]
 
 _ONE = QScalar.one()
+_Q2 = QScalar.q_power(2)
+_QM2 = QScalar.q_power(-2)
 
 
 class AlgebraElement:
@@ -69,6 +71,8 @@ class AlgebraElement:
         return got if got is not None else RatFunc.zero(self.datum)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
         out = dict(self.terms)
         for w, f in other.terms.items():
             got = out.get(w)
@@ -131,14 +135,14 @@ class AlgebraElement:
         return out
 
     def __eq__(self, other):
-        """Termwise on one datum and support; otherwise by subtraction,
-        which raises on mixed data."""
+        """Termwise: no stored coefficient is zero, so elements with
+        different supports differ.  Mixed data raise."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
         a, b = self.terms, other.terms
-        if self.datum is other.datum and a.keys() == b.keys():
-            return all(f == b[w] for w, f in a.items())
-        return (self - other).is_zero()
+        return a.keys() == b.keys() and all(f == b[w] for w, f in a.items())
 
     def apply_to_function(self, f: RatFunc) -> RatFunc:
         """The natural action on functions: sum_w f_w * (^w f)."""
@@ -190,11 +194,15 @@ def conjugate_by_delta_factor(datum: RootDatum, w: WeylElt) -> RatFunc:
     so it divides [w]-coefficients by (t^gamma - q^-2), consuming their
     vanishing there.
     """
-    zero = QScalar.q_power(2)
-    pole = QScalar.q_power(-2)
+    return _inversion_product(datum, w, -_QM2, _Q2, _QM2)
+
+
+def _inversion_product(datum: RootDatum, w: WeylElt, c: QScalar, a: QScalar,
+                       b: QScalar) -> RatFunc:
+    """prod_{gamma in D(w)} c (t^gamma - a) / (t^gamma - b)."""
     out = RatFunc.one(datum)
     for gamma in inversion_set(datum, w):
         dchar = tuple(2 * x for x in gamma.char)
-        num = expand_den_factor(datum.rank, dchar, zero, 1).scale(-pole)
-        out = (out * num).with_den_factor(gamma, pole)
+        num = LaurentPoly(datum.rank, {dchar: c, (0,) * datum.rank: -(c * a)})
+        out = (out * num).with_den_factor(gamma, b)
     return out

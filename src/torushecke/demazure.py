@@ -15,7 +15,7 @@ failure carries a witness.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _inversion_product
 from .laurent import LaurentPoly, RatFunc, divide_by_binomial, expand_den_factor
 from .rootdata import (RootDatum, WeylElt, all_positive_roots, bruhat_leq,
                        canonicalize_word, inversion_set)
@@ -125,12 +125,7 @@ def sigma_of_element(datum: RootDatum, w: WeylElt) -> AlgebraElement:
 
 def make_theta(datum: RootDatum, w: WeylElt) -> RatFunc:
     """The [w]-leading coefficient of sigma_w, as a rational function."""
-    out = RatFunc.one(datum)
-    for gamma in inversion_set(datum, w):
-        dchar = tuple(2 * x for x in gamma.char)
-        num = LaurentPoly(datum.rank, {dchar: _Q, (0,) * datum.rank: -_QINV})
-        out = (out * num).with_den_factor(gamma, _ONE)
-    return out
+    return _inversion_product(datum, w, _Q, _QM2, _ONE)
 
 
 def make_delta(datum: RootDatum) -> RatFunc:

@@ -19,8 +19,8 @@ from .demazure import (make_sigma, make_sigma_inverse, normal_form,
                        sigma_along_word, sigma_of_element)
 from .laurent import RatFunc, expand_den_factor, vanishes_on_divisor
 from .membership import check_membership, delta_criterion
-from .rootdata import (RootDatum, act_on_character, all_positive_roots,
-                       canonicalize_word, multiply_elts, reduced_words, weyl_ball)
+from .rootdata import (RootDatum, all_positive_roots, multiply_elts,
+                       reduced_words, weyl_ball)
 from .sampling import (random_laurent_poly, random_outlier,
                        random_small_algebra_element)
 from .scalars import QScalar
@@ -180,19 +180,56 @@ def length_additive_suite(datum: RootDatum) -> RelationReport:
 # torus characters against generators
 
 
-def _finite_samples(datum: RootDatum) -> list:
-    basis = []
-    for k in range(datum.rank):
-        v = [0] * datum.rank
-        v[k] = 1
-        basis.append(tuple(v))
-    out = list(basis)
-    for a in basis:
-        for b in basis:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s not in out:
-                out.append(s)
+def _samples(datum: RootDatum) -> list:
+    """The sample characters of the bernstein and daha suites.
+
+    The base is the basis characters on finite data, and on affine data
+    the level-zero images of the finite fundamental weights in the full
+    realization.  After the base come its nonzero pairwise sums (on
+    affine data also differences) not yet listed; affine data end with
+    the null character, which pairs to zero with every coroot and so
+    feeds the commutation entries even when the finite rank is one.
+    """
+    affine = datum.kind == "affine"
+    if affine:
+        comarks = datum.affine.comarks
+        base = [tuple(-comarks[i] if k == 0 else int(k == i)
+                      for k in range(datum.rank)) for i in range(1, datum.n)]
+    else:
+        base = [tuple(int(k == j) for k in range(datum.rank))
+                for j in range(datum.rank)]
+    out = list(base)
+    for a in base:
+        for b in base:
+            for sign in ((1, -1) if affine else (1,)):
+                s = _vec_add(a, b, sign)
+                if any(s) and s not in out:
+                    out.append(s)
+    if affine:
+        out.append(datum.affine.delta_char)
     return out
+
+
+def _vec_add(a: Sequence[int], b: Sequence[int], k: int) -> tuple:
+    return tuple(x + k * y for x, y in zip(a, b))
+
+
+def _generator_instances(datum: RootDatum, samples: list):
+    """Per generator: its label, sigma_i and one row per sample, each
+    (lam, t^lam, instance string, <alpha_i^vee, lam>)."""
+    for lab in datum.labels:
+        coroot = datum.simple_coroots[datum.pos(lab)]
+        rows = [(lam, AlgebraElement.character(datum, lam),
+                 f"i={lab},lam={_fmt_vec(lam)}", datum.pairing(coroot, lam))
+                for lam in samples]
+        yield lab, make_sigma(datum, lab), rows
+
+
+def _reflected_character(datum: RootDatum, lab: int, lam) -> AlgebraElement:
+    """t^{s_i lam} for a sample with <alpha_i^vee, lam> = 1, where
+    s_i lam = lam - alpha_i."""
+    return AlgebraElement.character(
+        datum, _vec_add(lam, datum.simple_roots[datum.pos(lab)], -1))
 
 
 def bernstein_suite(datum: RootDatum) -> RelationReport:
@@ -208,45 +245,33 @@ def bernstein_suite(datum: RootDatum) -> RelationReport:
     if datum.kind != "finite":
         raise ValueError("bernstein suite runs on finite data; "
                          "use the daha suite for affine data")
-    samples = _finite_samples(datum)
+    samples = _samples(datum)
     entries = []
 
     for ia, lam in enumerate(samples):
         for mu in samples[ia:]:
             lhs = AlgebraElement.character(datum, lam) * \
                 AlgebraElement.character(datum, mu)
-            rhs = AlgebraElement.character(
-                datum, tuple(a + b for a, b in zip(lam, mu)))
+            rhs = AlgebraElement.character(datum, _vec_add(lam, mu, 1))
             entries.append(_entry("5.3.2",
                                   f"lam={_fmt_vec(lam)},mu={_fmt_vec(mu)}",
                                   lhs, rhs))
 
-    for lab in datum.labels:
-        coroot = datum.simple_coroots[datum.pos(lab)]
-        sigma = make_sigma(datum, lab)
-        seen_one = False
-        seen_zero = False
-        for lam in samples:
-            pair = datum.pairing(coroot, lam)
-            t_lam = AlgebraElement.character(datum, lam)
-            inst = f"i={lab},lam={_fmt_vec(lam)}"
-            if pair == 0 and any(lam):
-                seen_zero = True
+    for lab, sigma, rows in _generator_instances(datum, samples):
+        pairs = {pair for *_, pair in rows}
+        if 1 not in pairs:
+            raise ValueError(f"no sample pairs to 1 with coroot of node {lab}")
+        if 0 not in pairs and datum.n >= 2:
+            raise ValueError(f"no nonzero sample pairs to 0 with coroot of node {lab}")
+        for lam, t_lam, inst, pair in rows:
+            if pair == 0:
                 entries.append(_entry("5.3.3", inst, sigma * t_lam, t_lam * sigma))
             elif pair == 1:
-                seen_one = True
-                s_lam = act_on_character(datum, canonicalize_word(datum, (lab,)), lam)
-                lhs = sigma * t_lam * sigma
-                entries.append(_entry("6.2.3-form", inst, lhs,
-                                      AlgebraElement.character(datum, s_lam)))
-                lhs_lit = sigma * AlgebraElement.character(datum, s_lam) * sigma
-                rhs_lit = t_lam * _Q
-                entries.append(_entry("5.3.4", inst, lhs_lit, rhs_lit,
-                                      literal=True))
-        if not seen_one:
-            raise ValueError(f"no sample pairs to 1 with coroot of node {lab}")
-        if not seen_zero and datum.n >= 2:
-            raise ValueError(f"no nonzero sample pairs to 0 with coroot of node {lab}")
+                t_s = _reflected_character(datum, lab, lam)
+                entries.append(_entry("6.2.3-form", inst,
+                                      sigma * t_lam * sigma, t_s))
+                entries.append(_entry("5.3.4", inst, sigma * t_s * sigma,
+                                      t_lam * _Q, literal=True))
     return RelationReport(entries)
 
 
@@ -263,36 +288,12 @@ def verify_finite_suite(datum: RootDatum) -> RelationReport:
 # the affine battery
 
 
-def _embedded_finite_weights(datum: RootDatum) -> list:
-    """Level-zero images of the finite fundamental weights, plus sums
-    and differences, in the full affine realization."""
-    comarks = datum.affine.comarks
-    base = []
-    for i in range(1, datum.n):
-        v = [0] * datum.rank
-        v[0] = -comarks[i]
-        v[i] = 1
-        base.append(tuple(v))
-    out = list(base)
-    for a in base:
-        for b in base:
-            for s in (tuple(x + y for x, y in zip(a, b)),
-                      tuple(x - y for x, y in zip(a, b))):
-                if any(s) and s not in out:
-                    out.append(s)
-    # the null character pairs to zero with every coroot, so it feeds
-    # the commutation entries even when the finite rank is one
-    out.append(datum.affine.delta_char)
-    return out
-
-
 def verify_daha_suite(datum: RootDatum) -> RelationReport:
     """Relations of the double affine presentation in the full realization.
 
     Needs affine data whose character lattice actually contains the
     null character (the default affine presets, not the -der variants).
-    The samples are the level-zero finite weights of
-    ``_embedded_finite_weights``.
+    The samples are the level-zero finite weights of ``_samples``.
     """
     if datum.kind != "affine":
         raise ValueError("daha suite needs affine data")
@@ -300,17 +301,14 @@ def verify_daha_suite(datum: RootDatum) -> RelationReport:
         raise ValueError("daha suite needs the full realization; "
                          "the derived quotient has no null character")
     delta = datum.affine.delta_char
-    samples = _embedded_finite_weights(datum)
+    samples = _samples(datum)
     theta = datum.affine.theta
     alpha0 = datum.simple_root_obj(0)
-    assert alpha0.char == tuple(d - t for d, t in zip(delta, theta.char)), \
+    assert alpha0.char == _vec_add(delta, theta.char, -1), \
         "affine node character must be null minus highest"
 
     entries = []
     zeta = AlgebraElement.character(datum, delta)
-    for lab in datum.labels:
-        sigma = make_sigma(datum, lab)
-        entries.append(_entry("6.2.0", f"zeta,i={lab}", zeta * sigma, sigma * zeta))
     for lam in samples[:3]:
         t_lam = AlgebraElement.character(datum, lam)
         entries.append(_entry("6.2.0", f"zeta,lam={_fmt_vec(lam)}",
@@ -318,22 +316,16 @@ def verify_daha_suite(datum: RootDatum) -> RelationReport:
 
     entries.extend(quadratic_suite(datum).entries)
 
-    seen_level = False
-    for lab in datum.labels:
-        coroot = datum.simple_coroots[datum.pos(lab)]
-        sigma = make_sigma(datum, lab)
-        root_char = datum.simple_root_obj(lab).char
-        for lam in samples:
-            pair = datum.pairing(coroot, lam)
-            t_lam = AlgebraElement.character(datum, lam)
-            inst = f"i={lab},lam={_fmt_vec(lam)}"
+    for lab, sigma, rows in _generator_instances(datum, samples):
+        entries.append(_entry("6.2.0", f"zeta,i={lab}", zeta * sigma, sigma * zeta))
+        for lam, t_lam, inst, pair in rows:
             if pair == 0:
                 entries.append(_entry("6.2.5", inst, sigma * t_lam, t_lam * sigma))
             elif pair == 1 and lab != 0:
-                rhs = AlgebraElement.character(
-                    datum, tuple(a - r for a, r in zip(lam, root_char)))
-                entries.append(_entry("6.2.3", inst, sigma * t_lam * sigma, rhs))
+                entries.append(_entry("6.2.3", inst, sigma * t_lam * sigma,
+                                      _reflected_character(datum, lab, lam)))
 
+    seen_level = False
     sigma0_inv = make_sigma_inverse(datum, 0)
     for lam in samples:
         if datum.pairing(datum.affine.theta_coroot, lam) != 1:

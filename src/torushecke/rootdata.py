@@ -352,7 +352,6 @@ class RootDatum:
         self._elts: dict[Mat, WeylElt] = {}
         self._mul: dict[tuple[Mat, Mat], WeylElt] = {}
         self._charmat: dict[Mat, Mat] = {}
-        self._bruhat: dict[tuple[Mat, Mat], bool] = {}
         self._invset: dict[Mat, tuple[Root, ...]] = {}
         self._refl: dict[Vec, tuple[WeylElt, Vec]] = {}
         self._posroots: tuple[Root, ...] | None = None
@@ -579,25 +578,16 @@ def inversion_set(datum: RootDatum, w: WeylElt) -> tuple[Root, ...]:
 
 
 def bruhat_leq(datum: RootDatum, y: WeylElt, w: WeylElt) -> bool:
-    """Bruhat order via the descent recursion, memoized on the datum."""
+    """Bruhat order via the descent recursion: for a left descent s of w,
+    y <= w iff min(y, sy) <= sw, so a query makes at most l(w) calls."""
     if y == w:
         return True
     if y.length >= w.length:
         return False
-    key = (y.mat, w.mat)
-    known = datum._bruhat.get(key)
-    if known is not None:
-        return known
-    lab = left_descents(datum, w)[0]
-    s = canonicalize_word(datum, (lab,))
-    sw = multiply_elts(datum, s, w)
+    s = canonicalize_word(datum, (left_descents(datum, w)[0],))
     sy = multiply_elts(datum, s, y)
-    if sy.length < y.length:
-        out = bruhat_leq(datum, sy, sw)
-    else:
-        out = bruhat_leq(datum, y, sw)
-    datum._bruhat[key] = out
-    return out
+    return bruhat_leq(datum, sy if sy.length < y.length else y,
+                      multiply_elts(datum, s, w))
 
 
 def positive_real_roots_up_to_height(datum: RootDatum, h: float) -> list[Root]:

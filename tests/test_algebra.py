@@ -140,6 +140,16 @@ def test_mixing_root_data_raises():
         fa * fb
     with pytest.raises(RootDatumError, match="mixed root data"):
         AlgebraElement.identity(a) * AlgebraElement.identity(b)
+    # disjoint supports: no coefficient meets another, so only the
+    # element-level guard can see the two data
+    x = AlgebraElement.identity(a)
+    y = AlgebraElement.group_term(b, canonicalize_word(b, (1,)))
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        x + y
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        x - y
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        x == y
 
 
 def test_mixing_root_data_raises_under_optimize():

@@ -2,7 +2,8 @@
 
 The sha256 of every `verify -o` report on the data each suite accepts
 among A2, B2, G2 and A2aff (seed 0, six samples for the sampled suites),
-of `datum -o` and `verify --suite daha -o` on the other untwisted affine
+of `verify --suite bernstein -o` on the finite types B3, C3 and D4, of
+`datum -o` and `verify --suite daha -o` on the other untwisted affine
 types of rank at most 4, and of `nf -o` on a few fixed element files.
 A refactor of the exact layers must leave every byte of these reports
 unchanged.
@@ -66,6 +67,19 @@ VERIFY_DIGESTS = {
         "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
     ("quadratic", "G2"):
         "8741f945ded74784add6214b501d1b75b140a135870700bd6fd0a745c42774c0",
+}
+
+# finite types of rank 3 and 4, as JSON Cartan matrices (B3 and C3 as in
+# test_rootdata): name -> (Cartan matrix, sha256 of the
+# `verify --suite bernstein -o` bytes); the samples are the basis
+# characters and their pairwise sums, so the instances grow with the rank
+FINITE_TYPES = {
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        "fd96ce2c60f5a90ab7679477456eb70d9fd13bebb9da758666d508b6ddd05ade"),
+    "C3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+        "fd96ce2c60f5a90ab7679477456eb70d9fd13bebb9da758666d508b6ddd05ade"),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+        "9e81354bc6799df56e1e62f3c4b2cc29a1b0d035a09f067ef1391e54440a18d5"),
 }
 
 # every untwisted affine type of rank <= 4 beyond A1aff and A2aff, in Kac's
@@ -187,6 +201,18 @@ def test_verify_action_preservation_refuses_affine_data(tmp_path, capsys):
     assert "error: action-preservation runs on finite data only" in captured.err
     assert "all positive roots" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(FINITE_TYPES))
+def test_finite_rank_three_and_four_bernstein_pinned(tmp_path, capsys, name):
+    entries, digest = FINITE_TYPES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"cartan": entries}))
+    out = tmp_path / "bernstein.json"
+    assert run_cli(["verify", "-d", str(path), "--suite", "bernstein",
+                    "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert _digest(out) == digest
 
 
 @pytest.mark.parametrize("name", list(AFFINE_TYPES))

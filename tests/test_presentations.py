@@ -24,6 +24,7 @@ import torushecke.presentations as presentations
 from torushecke.demazure import sigma_along_word, sigma_of_element
 from torushecke.rootdata import (
     CartanMatrix,
+    all_positive_roots,
     build_datum,
     preset_datum,
     reduced_words,
@@ -92,6 +93,25 @@ def test_suite_domain_errors():
         verify_daha_suite(preset_datum("A1aff-der"))
 
 
+@pytest.mark.parametrize("entries, choice, message", [
+    # A1 with coroot 2: the samples pair to 2 and 4
+    ([[2]], {"roots": [[1]], "coroots": [[2]]},
+     "no sample pairs to 1 with coroot of node 1"),
+    # node 1 has both pairings, node 2 pairs to 0, 2 and 4 only
+    ([[2, 0], [0, 2]], {"roots": [[2, 0], [0, 1]], "coroots": [[1, 0], [0, 2]]},
+     "no sample pairs to 1 with coroot of node 2"),
+    # A2 with coroots in the root lattice: node 1 pairs to 2, -1, 4, 1, -2;
+    # the pairing-one check comes first, so the zero check refuses node 1
+    ([[2, -1], [-1, 2]], {"roots": [[1, 0], [0, 1]],
+                          "coroots": [[2, -1], [-1, 2]]},
+     "no nonzero sample pairs to 0 with coroot of node 1"),
+])
+def test_bernstein_refusals(entries, choice, message):
+    datum = build_datum(CartanMatrix(entries), choice)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bernstein_suite(datum)
+
+
 def test_braid_suite_affine():
     # the infinite dihedral group has no braid instances at all
     assert braid_suite(preset_datum("A1aff"), max_length=5).entries == []
@@ -128,18 +148,29 @@ def _digest(payloads) -> str:
     return h.hexdigest()
 
 
+# data beyond the presets, by Cartan matrix (B3 and C3 as in test_rootdata)
+_MATRICES = {
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "G2aff": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+}
+
+
 def _datum(name: str):
-    if name == "G2aff":
-        return build_datum(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -3, 2]]))
+    if name in _MATRICES:
+        return build_datum(CartanMatrix(_MATRICES[name]))
     return preset_datum(name)
 
 
-# sha256 of the serialized sigma_w: the whole group of finite data, the
-# elements up to length 4 of affine data
+# sha256 of the serialized sigma_w: the whole group of finite data (up to
+# the longest element, length 9 on B3 and C3), the elements up to length 4
+# of affine data; the [w]-coefficient of sigma_w is theta_w
 SIGMA_DIGESTS = {
     "A2": "ba7109e274c4429cf24420b33fc6550dec32d4121e3fe6537126e24c528c335d",
     "B2": "46f188b4a51183c0dee10671889763102d92a4b9aa6e1ebb1b9275617de59a87",
     "G2": "669ee78ea8549a7d4aaecf3c9eedb59af62ea44ea76b761dddafda0699a15c3d",
+    "B3": "d8e4b4feed0f7908b262ec9c065471662cfa52878de195b3c9bc0e2b8da960fd",
+    "C3": "bee43e021a2d2a644057651cb5d72bacd570824a48ea93429386e358ff4bc646",
     "A2aff": "b27be216d5f3badb3d9ff529b040b80562fab7c868254bd0a49bff4d760c079a",
     "G2aff": "80817bb555f6adfec89c1d9303b59a6545d34bcfdfb59da19795b83f0e779de0",
 }
@@ -148,7 +179,8 @@ SIGMA_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SIGMA_DIGESTS))
 def test_sigma_values_frozen(name):
     datum = _datum(name)
-    ball = weyl_ball(datum, 4 if datum.kind == "affine" else 6)
+    ball = weyl_ball(datum, 4 if datum.kind == "affine"
+                     else len(all_positive_roots(datum)))
     assert _digest(element_to_dict(sigma_of_element(datum, w))
                    for w in ball) == SIGMA_DIGESTS[name]
 
@@ -161,6 +193,9 @@ CLOSURE_DIGESTS = {
     "B2": "c9d548492346297338f58f3b002ef6a806384ba6bd75e3d5c8f9040ca541d8dd",
     "G2": "f3ff9fa39c1bd51437a0a368ceac57e0c98aef8bbb7e1f10c226ab37d6c0c80c",
     "A2aff": "dbd2ffb5ca99946bf1355e51bb3b12626432a7461a9a2c375841c7898b01c081",
+    "B3": "44917a5d84886b012d786b645dad27a264f7ac18184f7f6ea33250eb5c252d9b",
+    "C3": "2e89dc1025d68bf75de83bce6024c5ceb14fabd3230cf55d57be68210cf2cbca",
+    "G2aff": "ce8e13206d70a808336b5b82034ab0c21b310d3219e3782da6ab656377242f90",
 }
 LENGTH_ADDITIVE_DIGESTS = {
     "A2": "13f2bd378f83fdb00bee42a1a9d1a970d7b09e5b8754f4416bdf537dbe433d43",
@@ -171,6 +206,8 @@ DELTA_CRITERION_DIGESTS = {
     "A2": "8df4ad38f89806dff2c917cf8553b7045be9d0ec8ed0e6d2daa0e84e456fd8f0",
     "B2": "a22c6229b38b891c5b9e79d659eb541b6d6361ef8793808a8292b509e67d5784",
     "G2": "ed943ab3877b285ac03d8216f0a6625c6cb56c8cf43c104e1e14aeac37286713",
+    "B3": "c6478aab3e73090402a5d820b0336a105f5e2dbdada59d31091b6db7aa381f00",
+    "C3": "895dc355feb38af1f7d9e760765ececfeba87963cfb45394ce919eb83d74dddc",
 }
 
 
@@ -194,7 +231,7 @@ def _recorded_digest(monkeypatch, hook, suite, datum, payload):
 def test_closure_products_frozen(name, monkeypatch):
     # the seed-0 products of closure_suite and their membership reports
     assert _recorded_digest(
-        monkeypatch, "check_membership", closure_suite, preset_datum(name),
+        monkeypatch, "check_membership", closure_suite, _datum(name),
         lambda x, rep: {"product": element_to_dict(x),
                         "report": rep.to_dict()}) == CLOSURE_DIGESTS[name]
 
@@ -213,8 +250,7 @@ def test_delta_criterion_reports_frozen(name, monkeypatch):
     # the seed-0 samples, inside and outside the algebra, and the reports
     # of the conjugation criterion on them
     assert _recorded_digest(
-        monkeypatch, "delta_criterion", delta_criterion_suite,
-        preset_datum(name),
+        monkeypatch, "delta_criterion", delta_criterion_suite, _datum(name),
         lambda x, rep: {"sample": element_to_dict(x),
                         "report": rep.to_dict()}) \
         == DELTA_CRITERION_DIGESTS[name]
