@@ -1,32 +1,48 @@
 """Laurent polynomials and rational functions on a torus.
 
-Exponent vectors live in (1/2) X, stored as integer tuples of DOUBLED
+Exponent vectors live in (1/2) X, stored as integer vectors of DOUBLED
 exponents, so the half-characters t^(alpha/2) that the Weyl denominator
-needs are honest monomials.  A rational function is a Laurent polynomial
-numerator over a multiset of binomial factors (t^beta - c)^m, each keyed
-by the (doubled) character vector of a positive real root beta together
-with the target scalar c in Q(q).  Keeping denominators factored is what
-makes pole orders, residues, and divisor-vanishing checks exact instead
-of a factorization problem.
+needs are honest monomials.  A polynomial keys its terms by one int per
+exponent vector by the Kronecker substitution t_i -> 2^(48 i), as the
+scalars pack q: K = e_0 + e_1 2^48 + e_2 2^96 + ..., read back as
+signed base-2^48 digits.  A product of monomials is then one int add, a
+shift one add, and the quotient step e - alpha one subtraction.  Every
+vector that enters as a tuple is checked, |e_i| < 2^16: far above what
+the library writes (the sigma_w of the A2aff braid suite to length 6
+reach 20) and far inside the digit, so sums never carry from one digit
+into the next: only products add exponents, and a digit would need some
+2^31 factors at the bound to overflow.  ``__pow__``, which multiplies
+exponents by a count, refuses a power past the bound.  ``terms`` shows
+the terms with tuple keys.
+
+A rational function is a Laurent polynomial numerator over a multiset
+of binomial factors (t^beta - c)^m, each keyed by the (doubled)
+character vector of a positive real root beta together with the target
+scalar c in Q(q).  Keeping denominators factored is what makes pole
+orders, residues, and divisor-vanishing checks exact instead of a
+factorization problem.
 
 Division by a binomial t^alpha - c needs one integer linear form u0 with
 <u0, alpha> = g, the content of alpha: it grades the exponents by level
 <u0, e>, alpha raises the level by exactly g, and long division walks
 the levels from the top.  Restriction to the divisor t^alpha = c folds
-each exponent into the bottom g levels.  Both stay in the original
-coordinates; the forms are cached per character vector.
+each exponent into the bottom g levels.  The level is one int product:
+with U = u0_(n-1) + u0_(n-2) 2^48 + ... + u0_0 2^(48 (n-1)), digit n-1
+of K U is <u0, e>, read after rounding off the lower digits.  Both stay
+in the original coordinates; U is cached per character vector.
 
 In products most trial divisions are ruled out without dividing.  With
 alpha' = alpha / g, the lines e + Z alpha' split the exponents, and every
 factor of t^alpha - c lies in Q(q)[t^(+-alpha')]; a line that holds exactly
 one term of a polynomial therefore proves it prime to t^alpha - c.  That
-lone-line certificate is integer-only: each term is keyed by one cached
-form w with <w, alpha> = 0.  Only products use it, to cross-cancel: both
-operands are reduced, so a factor of one denominator is tried only if the
-other numerator has no lone line for it (a/b * c/d cancels only through
-gcd(a, d) and gcd(c, b)).  Elsewhere reduction just divides: scanning
-the numerator for a lone line costs about as much as the trial divisions
-it would skip.
+lone-line certificate is integer-only: each term is keyed by the point
+of its line at level 0, K - <u0, e> pack(alpha'), so two terms share a
+key exactly when they share a line.  Only products use it, to
+cross-cancel: both operands are reduced, so a factor of one denominator
+is tried only if the other numerator has no lone line for it
+(a/b * c/d cancels only through gcd(a, d) and gcd(c, b)).  Elsewhere
+reduction just divides: scanning the numerator for a lone line costs
+about as much as the trial divisions it would skip.
 
 On data that are not ``relaxed`` the reduced form is canonical.  Simple
 roots are Z-independent and positive real roots pairwise non-proportional,
@@ -53,10 +69,10 @@ do, and ``check_membership`` refuses derived data.
 
 from __future__ import annotations
 
-from operator import mul, sub
+from types import MappingProxyType
 
 from .rootdata import RootDatumError, char_matrix
-from .scalars import QScalar, scalar_str
+from .scalars import EXPONENT_BOUND, QScalar, scalar_str
 
 __all__ = [
     "LaurentError",
@@ -75,9 +91,40 @@ ExpVec = tuple[int, ...]
 _ZERO = QScalar.zero()
 _ONE = QScalar.one()
 
+# The digit width of a packed exponent vector.  Python hashes an int
+# modulo 2^61 - 1, and 48-bit digits land at distinct bit offsets there
+# (0, 48, 35, 22, 9, 57 for ranks up to 6), so small vectors keep
+# distinct hashes.
+_W = 48
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+
 
 class LaurentError(ValueError):
     pass
+
+
+def _pack(exp, rank: int) -> int:
+    """The packed key of an exponent vector; refuses |e_i| >= 2^16."""
+    if len(exp) != rank:
+        raise LaurentError("exponent length does not match rank")
+    k = 0
+    for x in reversed(exp):
+        if not -EXPONENT_BOUND < x < EXPONENT_BOUND:
+            raise LaurentError(f"exponent {x} is out of range: "
+                               f"|e| must be below {EXPONENT_BOUND}")
+        k = (k << _W) + x
+    return k
+
+
+def _unpack(k: int, rank: int) -> ExpVec:
+    """The exponent vector of a packed key: its signed base-2^48 digits."""
+    out = []
+    for _ in range(rank):
+        k += _HALF
+        out.append((k & _MASK) - _HALF)
+        k >>= _W
+    return tuple(out)
 
 
 class LaurentPoly:
@@ -88,14 +135,23 @@ class LaurentPoly:
     [((0,), QScalar('-1')), ((2,), QScalar('1'))]
     """
 
-    __slots__ = ("rank", "terms")
+    # _keyed: {packed exponent vector: nonzero coefficient}
+    __slots__ = ("rank", "_keyed")
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
         if terms:
-            self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+            self._keyed = {_pack(e, rank): c for e, c in terms.items()
+                           if not c.is_zero()}
         else:
-            self.terms = {}
+            self._keyed = {}
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The terms, read-only, keyed by doubled exponent tuples."""
+        rank = self.rank
+        return MappingProxyType({_unpack(k, rank): c
+                                 for k, c in self._keyed.items()})
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
@@ -103,12 +159,10 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: _ONE})
+        return _raw(rank, {0: _ONE})
 
     @classmethod
     def monomial(cls, rank: int, exp: ExpVec, coef: QScalar = _ONE) -> "LaurentPoly":
-        if len(exp) != rank:
-            raise LaurentError("exponent length does not match rank")
         return cls(rank, {tuple(exp): coef})
 
     @classmethod
@@ -117,19 +171,22 @@ class LaurentPoly:
         return cls.monomial(rank, tuple(2 * int(x) for x in char), coef)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keyed
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._keyed)
 
     def coefficient(self, exp: ExpVec) -> QScalar:
-        return self.terms.get(tuple(exp), _ZERO)
+        try:
+            return self._keyed.get(_pack(tuple(exp), self.rank), _ZERO)
+        except LaurentError:
+            return _ZERO
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if other.rank != self.rank:
             raise LaurentError("Laurent polynomials of different ranks")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._keyed)
+        for e, c in other._keyed.items():
             acc = out.get(e)
             if acc is None:
                 out[e] = c
@@ -142,7 +199,7 @@ class LaurentPoly:
         return _raw(self.rank, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return _raw(self.rank, {e: -c for e, c in self.terms.items()})
+        return _raw(self.rank, {e: -c for e, c in self._keyed.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -154,13 +211,13 @@ class LaurentPoly:
             return NotImplemented
         if other.rank != self.rank:
             raise LaurentError("Laurent polynomials of different ranks")
-        out: dict[ExpVec, QScalar] = {}
-        a, b = self.terms, other.terms
+        out: dict[int, QScalar] = {}
+        a, b = self._keyed, other._keyed
         if len(a) > len(b):
             a, b = b, a
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = e1 + e2
                 c = c1 * c2
                 acc = out.get(e)
                 if acc is None:
@@ -174,26 +231,44 @@ class LaurentPoly:
     def scale(self, c: QScalar) -> "LaurentPoly":
         if c.is_zero():
             return LaurentPoly(self.rank)
-        return _raw(self.rank, {e: x * c for e, x in self.terms.items()})
+        return _raw(self.rank, {e: x * c for e, x in self._keyed.items()})
 
     def shift(self, exp: ExpVec) -> "LaurentPoly":
         """Multiply by the monomial t^(exp/2) (doubled exponent vector)."""
-        return _raw(self.rank, {
-            tuple(x + y for x, y in zip(e, exp)): c for e, c in self.terms.items()
-        })
+        s = _pack(exp, self.rank)
+        return _raw(self.rank, {e + s: c for e, c in self._keyed.items()})
 
     def transform_exponents(self, mat) -> "LaurentPoly":
-        """Apply an integer matrix to every (doubled) exponent vector."""
-        out: dict[ExpVec, QScalar] = {}
-        for e, c in self.terms.items():
-            y = tuple(sum(row[k] * e[k] for k in range(len(e))) for row in mat)
+        """Apply an integer matrix to every (doubled) exponent vector.
+
+        The image of K is sum_j e_j C_j, with C_j the packed column j;
+        the columns pass the same bound as exponents.
+        """
+        rows = len(mat)
+        cols = [_pack([row[j] for row in mat], rows) for j in range(self.rank)]
+        out: dict[int, QScalar] = {}
+        for k, c in self._keyed.items():
+            y = 0
+            for col in cols:
+                k += _HALF
+                y += ((k & _MASK) - _HALF) * col
+                k >>= _W
             acc = out.get(y)
             out[y] = c if acc is None else acc + c
-        return _raw(len(mat), {e: c for e, c in out.items() if not c.is_zero()})
+        return _raw(rows, {e: c for e, c in out.items() if not c.is_zero()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """The k-th power; refused if its exponents could reach 2^16.
+
+        k can come from a file (a denominator multiplicity), and a power
+        is the one product that multiplies exponents by a count.
+        """
         if k < 0:
             raise LaurentError("negative power of a Laurent polynomial")
+        if k > 1 and k * max((abs(x) for e in self.terms for x in e),
+                             default=0) >= EXPONENT_BOUND:
+            raise LaurentError(f"power {k} would take an exponent out of "
+                               f"range: |e| must be below {EXPONENT_BOUND}")
         out = LaurentPoly.one(self.rank)
         base = self
         while k:
@@ -204,58 +279,64 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (isinstance(other, LaurentPoly) and self.rank == other.rank
+                and self._keyed == other._keyed)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._keyed:
             return "LaurentPoly(0)"
-        bits = []
-        for e in sorted(self.terms):
-            bits.append(f"({scalar_str(self.terms[e])})*t^{list(e)}/2")
+        bits = [f"({scalar_str(c)})*t^{list(e)}/2"
+                for e, c in sorted(self.terms.items())]
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
 
-def _raw(rank: int, terms: dict) -> LaurentPoly:
-    """A LaurentPoly around terms that already hold no zero coefficient."""
+def _raw(rank: int, keyed: dict) -> LaurentPoly:
+    """A LaurentPoly around packed terms that hold no zero coefficient."""
     p = LaurentPoly.__new__(LaurentPoly)
     p.rank = rank
-    p.terms = terms
+    p._keyed = keyed
     return p
 
 
 # -- binomial division -----------------------------------------------------
 
-# character vector -> (u0, g, w): an integer row with <u0, alpha> = g, the
-# content of alpha, and a row w with <w, alpha> = 0 that keys the lines
-# e + Z alpha/g
-_UNIMOD_CACHE: dict[ExpVec, tuple[ExpVec, int, ExpVec]] = {}
-
-# w = v - <v, alpha/g> u0 with v = (1, B, B^2, ...), so <w, e> is <v, r> for
-# the point r of the line through e at level 0; two lines share a key only
-# when their points differ by B/2 or more in some entry
-_LINE_BASE = 1 << 16
+# character vector alpha -> (U, r, s, g, A, A'): U packs a linear form u0
+# with <u0, alpha> = g, the content of alpha, so that the level <u0, e>
+# is digit n-1 of K U, that is ((K U + r) >> s) read as a signed digit
+# (r rounds the lower digits off and offsets the sign); A and A' are the
+# packed alpha and alpha / g
+_UNIMOD_CACHE: dict[ExpVec, tuple[int, int, int, int, int, int]] = {}
 
 
-def _linear_form(d: ExpVec) -> tuple[ExpVec, int, ExpVec]:
-    """u0, g, w with <u0, d> = g = content of d > 0, by chained extended
-    gcds, and <w, d> = 0."""
+def _linear_form(d: ExpVec) -> tuple[int, int, int, int, int, int]:
+    """U, r, s, g, A, A' for alpha = d (see _UNIMOD_CACHE), with u0 from
+    chained extended gcds.
+
+    The level digit is exact while every digit of K U, a sum of at most n
+    products e_i u0_j, stays below 2^46.  u0 packs through the same
+    |x| < 2^16 check as exponents, so with rank at most 8 that holds
+    while exponents stay below 2^27, some 2^11 chained factors at the
+    bound.
+    """
     cached = _UNIMOD_CACHE.get(d)
     if cached is not None:
         return cached
     if not any(d):
         raise LaurentError("zero character vector has no divisor")
-    u0 = [1] + [0] * (len(d) - 1)
+    n = len(d)
+    a = _pack(d, n)
+    u0 = [1] + [0] * (n - 1)
     g = d[0]
-    for i in range(1, len(d)):
+    for i in range(1, n):
         if d[i]:
             g, x, y = _ext_gcd(g, d[i])
             u0 = [x * v for v in u0]
             u0[i] = y
     if g < 0:
         u0, g = [-v for v in u0], -g
-    v = [_LINE_BASE ** i for i in range(len(d))]
-    s = sum(map(mul, v, d)) // g
-    out = (tuple(u0), g, tuple(x - s * u for x, u in zip(v, u0)))
+    s = _W * (n - 1)
+    r = (_HALF << s) + (1 << s >> 1)
+    out = (_pack(u0[::-1], n), r, s, g, a, _pack([x // g for x in d], n))
     _UNIMOD_CACHE[d] = out
     return out
 
@@ -266,14 +347,14 @@ def _has_lone_line(poly: LaurentPoly, dchar: ExpVec) -> bool:
     The Laurent ring is free over Q(q)[x^+-1], x = t^alpha', with the lines
     as coordinates, and every irreducible factor of t^alpha - c = x^g - c
     (c != 0) lies in that subring.  A line with one term is a unit
-    coordinate, so then gcd(poly, t^alpha - c) = 1.  Lines that share a
-    key merge, which can hide a lone term but never invent one.
+    coordinate, so then gcd(poly, t^alpha - c) = 1.  Each term is keyed
+    by its line's point at level 0, e - <u0, e> alpha'.
     """
-    w = _linear_form(dchar)[2]
+    u, r, s, _, _, ap = _linear_form(dchar)
     shared: dict[int, bool] = {}
-    for e in poly.terms:
-        k = sum(map(mul, w, e))
-        shared[k] = k in shared
+    for k in poly._keyed:
+        key = k - ((((k * u + r) >> s) & _MASK) - _HALF) * ap
+        shared[key] = key in shared
     return False in shared.values()
 
 
@@ -305,12 +386,12 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
     """
     if poly.is_zero():
         return poly, poly
-    u0, g, _ = _linear_form(alpha_doubled)
-    levels: dict[int, dict[ExpVec, QScalar]] = {}
-    for e, c in poly.terms.items():
-        levels.setdefault(sum(map(mul, u0, e)), {})[e] = c
+    u, r, s, g, a, _ = _linear_form(alpha_doubled)
+    levels: dict[int, dict[int, QScalar]] = {}
+    for e, c in poly._keyed.items():
+        levels.setdefault((((e * u + r) >> s) & _MASK) - _HALF, {})[e] = c
     scale = not target.is_one()
-    quot: dict[ExpVec, QScalar] = {}
+    quot: dict[int, QScalar] = {}
     # walk every level down to the lowest plus g, including levels the
     # division itself fills
     for k in range(max(levels), min(levels) + g - 1, -1):
@@ -322,15 +403,15 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
             if c.is_zero():
                 continue
             # each level is walked once, so quot never sees qe twice
-            qe = tuple(map(sub, e, alpha_doubled))
+            qe = e - a
             quot[qe] = c
             if scale:
                 c = c * target
             acc = low.get(qe)
             low[qe] = c if acc is None else acc + c
-    rem = {e: c for src in levels.values() for e, c in src.items()}
-    rank = len(alpha_doubled)
-    return LaurentPoly(rank, quot), LaurentPoly(rank, rem)
+    rem = {e: c for src in levels.values() for e, c in src.items()
+           if not c.is_zero()}
+    return _raw(poly.rank, quot), _raw(poly.rank, rem)
 
 
 def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
@@ -345,18 +426,18 @@ def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     """
     if poly.is_zero():
         return poly
-    u0, g, _ = _linear_form(alpha_doubled)
+    u, r, sh, g, a, _ = _linear_form(alpha_doubled)
     scale = not target.is_one()
-    out: dict[ExpVec, QScalar] = {}
-    for e, c in poly.terms.items():
-        s = sum(map(mul, u0, e)) // g
+    out: dict[int, QScalar] = {}
+    for e, c in poly._keyed.items():
+        s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
         if s:
-            e = tuple(x - s * a for x, a in zip(e, alpha_doubled))
+            e -= s * a
             if scale:
                 c = c * target ** s
         acc = out.get(e)
         out[e] = c if acc is None else acc + c
-    return LaurentPoly(len(alpha_doubled), out)
+    return _raw(poly.rank, {e: c for e, c in out.items() if not c.is_zero()})
 
 
 def vanishes_on_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,

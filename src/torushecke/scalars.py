@@ -60,6 +60,12 @@ _MASK = (1 << _K) - 1
 _TOP = 1 << (_K - 1)
 _LIMIT = 62
 
+# Exponents read from text, here the powers of q and in ``laurent`` the
+# torus exponents, must lie strictly between -EXPONENT_BOUND and
+# EXPONENT_BOUND: far above what the library writes, and small enough
+# that no file asks for unbounded work on load.
+EXPONENT_BOUND = 1 << 16
+
 
 def _trim(cs) -> Coeffs:
     n = len(cs)
@@ -454,6 +460,10 @@ def _parse_poly(text: str) -> dict[int, int]:
                 if end > first:
                     e = int(text[pos + 1:end])
                     pos = end
+                    if not -EXPONENT_BOUND < e < EXPONENT_BOUND:
+                        raise ScalarParseError(
+                            f"exponent q^{e} is out of range: "
+                            f"|e| must be below {EXPONENT_BOUND}")
         out[e] = out.get(e, 0) + coef
     return out
 

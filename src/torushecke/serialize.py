@@ -85,7 +85,10 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
         if len(exp) != datum.rank:
             raise SerializeError(f"{at}: exponent length "
                                  f"{len(exp)}, expected {datum.rank}")
-        poly = poly + LaurentPoly.monomial(datum.rank, exp, coef)
+        try:
+            poly = poly + LaurentPoly.monomial(datum.rank, exp, coef)
+        except LaurentError as exc:
+            raise SerializeError(f"{at}.exp: {exc}") from None
     out = RatFunc(datum, poly)
     for j, fac in enumerate(_list(den_part, f"{where}.den")):
         at = f"{where}.den[{j}]"

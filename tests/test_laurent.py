@@ -4,23 +4,32 @@ Exponent vectors are doubled throughout so half characters stay
 integral; t^lambda for a lattice character lambda has even exponents.
 """
 
+import itertools
 import random
 
 import pytest
 
 from torushecke.laurent import (
+    _HALF,
+    _MASK,
     LaurentError,
     LaurentPoly,
     RatFunc,
+    _linear_form,
+    _pack,
+    _unpack,
     divide_by_binomial,
     expand_den_factor,
     restrict_to_divisor,
     vanishes_on_divisor,
 )
 from torushecke.rootdata import (
+    CartanMatrix,
     all_positive_roots,
+    build_datum,
     canonicalize_word,
     multiply_elts,
+    positive_real_roots_up_to_height,
     preset_datum,
     weyl_ball,
 )
@@ -197,3 +206,109 @@ def test_mixed_ranks_raise():
             op(LaurentPoly.one(2), LaurentPoly.one(3))
         with pytest.raises(LaurentError):
             op(LaurentPoly.zero(3), LaurentPoly.monomial(2, (1, 1)))
+
+
+# -- packed exponent keys ----------------------------------------------------
+
+BOUND = 1 << 16
+
+
+def test_pack_round_trips_at_the_bound():
+    top = BOUND - 1
+    for rank in range(1, 7):
+        vecs = [(top,) * rank, (-top,) * rank, (0,) * rank,
+                tuple(top if i % 2 else -top for i in range(rank)),
+                tuple(-1 if i % 2 else 1 for i in range(rank)),
+                tuple(1 - i % 3 for i in range(rank))]
+        # mixed-sign neighbours: each vector moved by +-1 in one entry
+        for v in list(vecs):
+            for i in range(rank):
+                for step in (-1, 1):
+                    w = list(v)
+                    w[i] += step
+                    if abs(w[i]) < BOUND:
+                        vecs.append(tuple(w))
+        for v in vecs:
+            assert _unpack(_pack(v, rank), rank) == v
+            p = LaurentPoly(rank, {v: Q})
+            assert list(p.terms) == [v]
+            assert p.coefficient(v) == Q and p.terms[v] == Q
+        keys = {_pack(v, rank) for v in vecs}
+        assert len(keys) == len(set(vecs))
+
+
+def test_exponents_at_the_bound_are_refused():
+    for bad in ((BOUND, 0), (0, -BOUND), (3 * BOUND, 1)):
+        with pytest.raises(LaurentError, match="out of range"):
+            LaurentPoly(2, {bad: ONE})
+        with pytest.raises(LaurentError, match="out of range"):
+            LaurentPoly.one(2).shift(bad)
+        assert LaurentPoly.one(2).coefficient(bad) == QScalar.zero()
+        assert bad not in LaurentPoly.one(2).terms
+    with pytest.raises(LaurentError, match="rank"):
+        LaurentPoly(2, {(1, 2, 3): ONE})
+
+
+def test_terms_view_is_read_only():
+    p = LaurentPoly(2, {(2, -4): Q, (0, 0): ONE})
+    assert p.terms == {(2, -4): Q, (0, 0): ONE}
+    assert sorted(p.terms.items()) == [((0, 0), ONE), ((2, -4), Q)]
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = Q
+
+
+def test_power_refused_past_the_bound():
+    base = LaurentPoly(1, {(1000,): ONE, (0,): -ONE})
+    assert (base ** 65).term_count() == 66
+    with pytest.raises(LaurentError, match="power 66"):
+        base ** 66
+    with pytest.raises(LaurentError, match="power"):
+        expand_den_factor(1, (1000,), ONE, 66)
+    assert LaurentPoly.zero(2) ** 3 == LaurentPoly.zero(2)
+
+
+def _u0(form, rank):
+    """The linear form u0 behind a cached U (packed in reverse order)."""
+    return _unpack(form[0], rank)[::-1]
+
+
+def _level_roots():
+    b3 = build_datum(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]))
+    g2aff = build_datum(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -3, 2]]))
+    return ([(b3, r) for r in all_positive_roots(b3)]
+            + [(g2aff, r) for r in positive_real_roots_up_to_height(g2aff, 8)])
+
+
+def test_packed_level_matches_the_dot_product():
+    rng = random.Random(105)
+    pairs = _level_roots()
+    assert len(pairs) > 20
+    for datum, root in pairs:
+        rank = datum.rank
+        dchar = tuple(2 * x for x in root.char)
+        form = _linear_form(dchar)
+        u, r, s, g = form[:4]
+        u0 = _u0(form, rank)
+        assert sum(a * b for a, b in zip(u0, dchar)) == g > 0
+        for _ in range(40):
+            span = rng.choice((3, 24, BOUND - 1))
+            e = tuple(rng.randint(-span, span) for _ in range(rank))
+            level = sum(a * b for a, b in zip(u0, e))
+            k = _pack(e, rank)
+            assert (((k * u + r) >> s) & _MASK) - _HALF == level
+            # restriction folds e by floor(level / g) copies of alpha
+            fold = level // g
+            want = tuple(x - fold * a for x, a in zip(e, dchar))
+            got = restrict_to_divisor(LaurentPoly(rank, {e: ONE}), dchar, Q)
+            if all(abs(x) < BOUND for x in want):
+                assert got == LaurentPoly(rank, {want: Q ** fold})
+            else:
+                assert list(got.terms) == [want]
+
+
+def test_packed_keys_hash_apart():
+    # Python hashes ints modulo 2^61 - 1, where 2^64 == 8: narrower
+    # digits than 48 bits let these small vectors collide
+    vals = range(-12, 13, 2)
+    hashes = {hash(_pack(v + (0,), 6)) for v in itertools.product(vals, repeat=5)}
+    assert len(hashes) == len(vals) ** 5

@@ -90,3 +90,12 @@ def test_parse_scalar_odd_inputs_pinned():
                 "0/0", "(q)+(1)"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+
+def test_parse_scalar_bounds_exponents():
+    top = (1 << 16) - 1
+    assert parse_scalar(f"q^{top}+1") == Q ** top + ONE
+    assert parse_scalar(f"q^-{top}") == Q ** -top
+    for bad in ("q^65536+1", "q^-65536", "1/q^1000000", "q^1000000000+1"):
+        with pytest.raises(ScalarParseError, match="out of range"):
+            parse_scalar(bad)

@@ -584,3 +584,23 @@ def test_cli_refuses_membership_on_derived_data(tmp_path, capsys, preset):
         captured = capsys.readouterr()
         assert "null character" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "nf", "mul"])
+@pytest.mark.parametrize("num, needle", [
+    pytest.param([{"coef": "1", "exp": [0, 0]}, {"coef": "1", "exp": [0, 2000000]}],
+                 "terms[0].num[1].exp: exponent 2000000 is out of range",
+                 id="torus-exponent"),
+    pytest.param([{"coef": "q^1000000+1", "exp": [0, 0]}],
+                 "terms[0].num[0].coef: exponent q^1000000 is out of range",
+                 id="q-exponent"),
+])
+def test_cli_refuses_exponents_beyond_the_load_bound(tmp_path, capsys, command,
+                                                     num, needle):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"terms": [{
+        "word": [], "num": num, "den": [{"root": [1, 0], "target": "1"}]}]}))
+    assert run_cli([command, "-d", "A2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
