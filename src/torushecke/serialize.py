@@ -15,7 +15,8 @@ from .laurent import LaurentError, LaurentPoly, RatFunc
 from .rootdata import (CartanMatrix, RootDatum, RootDatumError, build_datum,
                        canonicalize_word, is_real_root,
                        positive_real_roots_up_to_height, weyl_ball)
-from .scalars import QScalar, ScalarParseError, parse_scalar, scalar_str
+from .scalars import (EXPONENT_BOUND, QScalar, ScalarParseError, parse_scalar,
+                      scalar_str)
 
 SCHEMA = "1"
 
@@ -104,8 +105,14 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
         if not is_real_root(datum, coords):
             raise SerializeError(
                 f"{at}: {list(coords)} is not a real root of the datum")
+        root = datum.root_from_coords(coords)
+        # (t^alpha - c)^mult spans exponents up to mult * max|2 alpha|
+        if mult * max(abs(2 * x) for x in root.char) >= EXPONENT_BOUND:
+            raise SerializeError(
+                f"{at}.mult: multiplicity {mult} is out of range: mult * "
+                f"max|2 alpha| must be below {EXPONENT_BOUND}")
         try:
-            out = out.with_den_factor(datum.root_from_coords(coords), target, mult)
+            out = out.with_den_factor(root, target, mult)
         except LaurentError as exc:
             raise SerializeError(f"{at}: {exc}") from None
     return out

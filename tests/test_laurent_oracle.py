@@ -5,7 +5,9 @@ Property tests: hypothesis draws a Laurent polynomial, a binomial
 t^alpha - c and a cofactor; sympy, an independent implementation of
 polynomial arithmetic over Q(q), decides whether the binomial divides
 the polynomial, whether two polynomials agree on the divisor, and
-whether the two are coprime when the lone-line certificate says so.  The
+whether the two are coprime when the lone-line certificate says so; the
+one restriction coefficient that screens trial divisions is checked
+against the whole restriction and the remainder of the division.  The
 variable x_i of the sympy side is t^(e_i / 2), so the doubled exponent
 vectors of the library are its exponents as they stand.  Products and
 sums of rational functions are checked against plain trial division of
@@ -30,6 +32,7 @@ from torushecke.laurent import (  # noqa: E402
     LaurentPoly,
     RatFunc,
     _has_lone_line,
+    _restriction_coefficient,
     divide_by_binomial,
     expand_den_factor,
     restrict_to_divisor,
@@ -145,6 +148,25 @@ def test_restriction_is_canonical_on_the_divisor(case):
     assert fold.is_zero() == divide_by_binomial(poly, alpha, target)[1].is_zero()
     # poly and its fold agree on the divisor
     assert _divides(binom, poly - fold)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(cases())
+def test_restriction_coefficient_screens_divisions(case):
+    poly, alpha, target, _ = case
+    coef = _restriction_coefficient(poly, alpha, target)
+    if poly.is_zero():
+        assert coef.is_zero()
+        return
+    # a "cannot divide" answer is never wrong
+    if not coef.is_zero():
+        assert not divide_by_binomial(poly, alpha, target)[1].is_zero()
+    # the first term alone restricts to c^s_0 at its fold point
+    first = next(iter(poly.terms))
+    (point, power), = restrict_to_divisor(
+        LaurentPoly.monomial(len(alpha), first), alpha, target).terms.items()
+    fold = restrict_to_divisor(poly, alpha, target)
+    assert coef == fold.coefficient(point) / power
 
 
 # square roots of the targets 1 and q^2: t^(alpha/2) - s shares a factor

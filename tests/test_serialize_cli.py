@@ -587,20 +587,38 @@ def test_cli_refuses_membership_on_derived_data(tmp_path, capsys, preset):
 
 
 @pytest.mark.parametrize("command", ["check", "nf", "mul"])
-@pytest.mark.parametrize("num, needle", [
+@pytest.mark.parametrize("num, mult, needle", [
     pytest.param([{"coef": "1", "exp": [0, 0]}, {"coef": "1", "exp": [0, 2000000]}],
-                 "terms[0].num[1].exp: exponent 2000000 is out of range",
+                 1, "terms[0].num[1].exp: exponent 2000000 is out of range",
                  id="torus-exponent"),
     pytest.param([{"coef": "q^1000000+1", "exp": [0, 0]}],
-                 "terms[0].num[0].coef: exponent q^1000000 is out of range",
+                 1, "terms[0].num[0].coef: exponent q^1000000 is out of range",
                  id="q-exponent"),
+    pytest.param([{"coef": "1", "exp": [0, 0]}], 1000000,
+                 "terms[0].den[0].mult: multiplicity 1000000 is out of range",
+                 id="multiplicity"),
 ])
 def test_cli_refuses_exponents_beyond_the_load_bound(tmp_path, capsys, command,
-                                                     num, needle):
+                                                     num, mult, needle):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"terms": [{
-        "word": [], "num": num, "den": [{"root": [1, 0], "target": "1"}]}]}))
+        "word": [], "num": num,
+        "den": [{"root": [1, 0], "target": "1", "mult": mult}]}]}))
     assert run_cli([command, "-d", "A2", str(path)]) == 2
     captured = capsys.readouterr()
     assert needle in captured.err
     assert captured.out == ""
+
+
+def test_a_multiplicity_at_the_load_bound_is_refused_and_one_below_loads():
+    def load(mult):
+        return element_from_dict(datum, {"terms": [{
+            "word": [], "num": [{"coef": "1", "exp": [0, 0]}],
+            "den": [{"root": [1, 0], "target": "1", "mult": mult}]}]})
+
+    datum = preset_datum("A2")
+    # alpha_1 has the doubled character (4, -2) on A2: mult * 4 < 2^16
+    x = load(2 ** 14 - 1)
+    assert x.coefficient(x.support()[0]).factors()[0].mult == 2 ** 14 - 1
+    with pytest.raises(SerializeError, match=r"terms\[0\]\.den\[0\]\.mult"):
+        load(2 ** 14)
