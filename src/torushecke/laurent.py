@@ -50,13 +50,9 @@ is skipped; a division that passes runs as before, so reduced forms do
 not change.  The coefficient costs a few int operations per term, plus
 scalar work only for the terms that fold onto that point, where a
 division buckets and long-divides every term; it rules out 2 026 of the
-2 328 failing divisions of the A2aff braid suite to length 6.  Two
-earlier screens did not pay.  A lone-line scan keys every term in a
-dict and proves nothing when every line holds two or more terms: it
-cost about as much as the divisions it skipped.  The whole restriction
-adds every term into a dict and paid c^s term by term.  Both the
-coefficient and ``restrict_to_divisor`` compute each power of c once
-per call.
+2 328 failing divisions of the A2aff braid suite to length 6.  Both
+the coefficient and ``restrict_to_divisor`` compute each power of c
+once per call.
 
 On data that are not ``relaxed`` the reduced form is canonical.  Simple
 roots are Z-independent and positive real roots pairwise non-proportional,

@@ -49,6 +49,7 @@ __all__ = [
     "left_descents",
     "bruhat_leq",
     "real_roots_up_to_height",
+    "root_orbit",
     "positive_real_roots_up_to_height",
     "is_real_root",
     "all_positive_roots",
@@ -355,6 +356,7 @@ class RootDatum:
         self._invset: dict[Mat, tuple[Root, ...]] = {}
         self._refl: dict[Vec, tuple[WeylElt, Vec]] = {}
         self._posroots: tuple[Root, ...] | None = None
+        self._orbits: dict[Vec, tuple[Root, ...]] = {}
         self.extra: dict = {}  # scratch space for downstream modules
         self.identity = WeylElt((), ident, ident)
         self._elts[ident] = self.identity
@@ -590,26 +592,27 @@ def bruhat_leq(datum: RootDatum, y: WeylElt, w: WeylElt) -> bool:
                       multiply_elts(datum, s, w))
 
 
+def _closure(datum: RootDatum, start, keep) -> set[Vec]:
+    """The closure of the coordinate vectors in start under the simple
+    reflections, through the images that keep accepts."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for m in datum.refl_root:
+            u = _mat_vec(m, v)
+            if u not in seen and keep(u):
+                seen.add(u)
+                frontier.append(u)
+    return seen
+
+
 def positive_real_roots_up_to_height(datum: RootDatum, h: float) -> list[Root]:
     """Positive real roots of height <= h by orbit closure from the simples."""
-    seen: set[Vec] = set()
-    frontier: list[Vec] = []
-    for p in range(datum.n):
-        coords = tuple(1 if k == p else 0 for k in range(datum.n))
-        if h >= 1:
-            seen.add(coords)
-            frontier.append(coords)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for p in range(datum.n):
-                u = _mat_vec(datum.refl_root[p], v)
-                if all(c >= 0 for c in u) and sum(u) <= h and u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    out = [datum.root_from_coords(v) for v in sorted(seen, key=lambda v: (sum(v), v))]
-    return out
+    simples = _mat_id(datum.n) if h >= 1 else ()
+    seen = _closure(datum, simples,
+                    lambda u: all(c >= 0 for c in u) and sum(u) <= h)
+    return [datum.root_from_coords(v) for v in sorted(seen, key=lambda v: (sum(v), v))]
 
 
 def is_real_root(datum: RootDatum, coords) -> bool:
@@ -618,6 +621,20 @@ def is_real_root(datum: RootDatum, coords) -> bool:
     if sum(v) < 0:
         v = tuple(-c for c in v)
     return _descent(datum, v) is not None
+
+
+def root_orbit(datum: RootDatum, root: Root) -> tuple[Root, ...]:
+    """The W-orbit of a real root of a finite datum: {root} closed under
+    the simple reflections."""
+    if datum.kind != "finite":
+        raise RootDatumError("the W-orbit of a root is finite only on finite data")
+    orbit = datum._orbits.get(root.coords)
+    if orbit is None:
+        seen = _closure(datum, [root.coords], lambda u: True)
+        orbit = tuple(datum.root_from_coords(v) for v in sorted(seen))
+        # every root of the orbit has the same orbit
+        datum._orbits.update(dict.fromkeys(seen, orbit))
+    return orbit
 
 
 def real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:

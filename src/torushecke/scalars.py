@@ -43,6 +43,7 @@ denominator when v < 0.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
@@ -419,19 +420,16 @@ class ScalarParseError(ValueError):
     pass
 
 
-def _digits_end(text: str, pos: int) -> int:
-    """The end of the run of decimal digits starting at pos."""
-    while pos < len(text) and text[pos].isdecimal():
-        pos += 1
-    return pos
+# One term of a polynomial: [+-]? digits? (*? q (^ -? digits)?)?
+_TERM = re.compile(r"([+-]?)(\d*)(\*?q(?:\^(-?\d+))?)?")
 
 
 def _parse_poly(text: str) -> dict[int, int]:
     """Parse a sum of integer terms in q, optionally inside one pair of
     parentheses; exponents may be negative.
 
-    Terms are read left to right as [+-]? digits? (*? q (^ -? digits)?)?,
-    and a term must have digits or q.
+    Terms are matched left to right by ``_TERM``, and a term must have
+    digits or q.
     """
     if text[:1] == "(" and text[-1:] == ")":
         text = text[1:-1]
@@ -440,44 +438,30 @@ def _parse_poly(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     pos = 0
     while pos < len(text):
-        start = pos
-        sign = -1 if text[pos] == "-" else 1
-        if text[pos] in "+-":
-            pos += 1
-        end = _digits_end(text, pos)
-        has_q = text.startswith("q", end) or text.startswith("*q", end)
-        if end == pos and not has_q:
-            raise ScalarParseError(f"cannot parse scalar near {text[start:]!r}")
-        coef = sign * int(text[pos:end]) if end > pos else sign
-        pos = end
-        e = 0
-        if has_q:
-            pos += 2 if text[pos] == "*" else 1
-            e = 1
-            if text.startswith("^", pos):
-                first = pos + 2 if text.startswith("-", pos + 1) else pos + 1
-                end = _digits_end(text, first)
-                if end > first:
-                    e = int(text[pos + 1:end])
-                    pos = end
-                    if not -EXPONENT_BOUND < e < EXPONENT_BOUND:
-                        raise ScalarParseError(
-                            f"exponent q^{e} is out of range: "
-                            f"|e| must be below {EXPONENT_BOUND}")
-        out[e] = out.get(e, 0) + coef
+        m = _TERM.match(text, pos)
+        sign, digits, has_q, exp = m.groups()
+        if not digits and not has_q:
+            raise ScalarParseError(f"cannot parse scalar near {text[pos:]!r}")
+        try:
+            coef, e = int(digits or 1), int(exp or (1 if has_q else 0))
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ScalarParseError("integer literal is too long") from None
+        if not -EXPONENT_BOUND < e < EXPONENT_BOUND:
+            raise ScalarParseError(f"exponent q^{e} is out of range: "
+                                   f"|e| must be below {EXPONENT_BOUND}")
+        out[e] = out.get(e, 0) + (-coef if sign == "-" else coef)
+        pos = m.end()
     return out
 
 
 def _poly_from_terms(terms: dict[int, int]) -> tuple[int, Coeffs]:
-    """(valuation, integer polynomial with nonzero constant term); (0, ()) for zero."""
-    live = {e: c for e, c in terms.items() if c}
-    if not live:
-        return 0, ()
-    low = min(live)
-    cs = [0] * (max(live) - low + 1)
-    for e, c in live.items():
+    """(lowest exponent, integer polynomial) of a nonempty {exponent:
+    coefficient}; the polynomial is trimmed at the top only."""
+    low = min(terms)
+    cs = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
         cs[e - low] = c
-    return low, tuple(cs)
+    return low, _trim(cs)
 
 
 def parse_scalar(text: str) -> QScalar:

@@ -14,7 +14,8 @@ from .algebra import AlgebraElement
 from .laurent import LaurentError, LaurentPoly, RatFunc
 from .rootdata import (CartanMatrix, RootDatum, RootDatumError, build_datum,
                        canonicalize_word, is_real_root,
-                       positive_real_roots_up_to_height, weyl_ball)
+                       positive_real_roots_up_to_height, root_orbit,
+                       weyl_ball)
 from .scalars import (EXPONENT_BOUND, QScalar, ScalarParseError, parse_scalar,
                       scalar_str)
 
@@ -77,7 +78,7 @@ def _scalar(value, where: str) -> QScalar:
 
 
 def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> RatFunc:
-    poly = LaurentPoly.zero(datum.rank)
+    terms: dict[tuple[int, ...], QScalar] = {}
     for j, tm in enumerate(_list(num_part, f"{where}.num")):
         at = f"{where}.num[{j}]"
         tm = _object(tm, at)
@@ -86,11 +87,12 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
         if len(exp) != datum.rank:
             raise SerializeError(f"{at}: exponent length "
                                  f"{len(exp)}, expected {datum.rank}")
-        try:
-            poly = poly + LaurentPoly.monomial(datum.rank, exp, coef)
-        except LaurentError as exc:
-            raise SerializeError(f"{at}.exp: {exc}") from None
-    out = RatFunc(datum, poly)
+        x = max(exp, key=abs, default=0)
+        if abs(x) >= EXPONENT_BOUND:
+            raise SerializeError(f"{at}.exp: exponent {x} is out of range: "
+                                 f"|e| must be below {EXPONENT_BOUND}")
+        terms[exp] = terms[exp] + coef if exp in terms else coef
+    out = RatFunc(datum, LaurentPoly(datum.rank, terms))
     for j, fac in enumerate(_list(den_part, f"{where}.den")):
         at = f"{where}.den[{j}]"
         fac = _object(fac, at)
@@ -106,11 +108,15 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
             raise SerializeError(
                 f"{at}: {list(coords)} is not a real root of the datum")
         root = datum.root_from_coords(coords)
-        # (t^alpha - c)^mult spans exponents up to mult * max|2 alpha|
-        if mult * max(abs(2 * x) for x in root.char) >= EXPONENT_BOUND:
+        # (t^beta - c)^mult spans exponents up to mult * max|2 beta|, for
+        # every beta a product can twist the factor to: its W-orbit; that
+        # is infinite on affine data, so there only the root is bounded
+        orbit = root_orbit(datum, root) if datum.kind == "finite" else (root,)
+        if mult * max(abs(2 * x) for b in orbit
+                      for x in b.char) >= EXPONENT_BOUND:
             raise SerializeError(
                 f"{at}.mult: multiplicity {mult} is out of range: mult * "
-                f"max|2 alpha| must be below {EXPONENT_BOUND}")
+                f"max|2 beta| must be below {EXPONENT_BOUND}")
         try:
             out = out.with_den_factor(root, target, mult)
         except LaurentError as exc:
@@ -121,7 +127,9 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
 def element_from_dict(datum: RootDatum, data: dict) -> AlgebraElement:
     if not isinstance(data, dict) or "terms" not in data:
         raise SerializeError("element payload must be an object with 'terms'")
-    out = AlgebraElement.zero(datum)
+    # one dict in the order a running sum would keep: a word whose sum
+    # cancels is dropped, and goes to the end if it appears again
+    terms: dict = {}
     for i, term in enumerate(_list(data["terms"], "terms")):
         where = f"terms[{i}]"
         term = _object(term, where)
@@ -132,8 +140,10 @@ def element_from_dict(datum: RootDatum, data: dict) -> AlgebraElement:
             raise SerializeError(f"{where}.word: {exc}") from None
         f = _ratfunc_from_parts(datum, term.get("num", []),
                                 term.get("den", []), where)
-        out = out + AlgebraElement(datum, {w: f})
-    return out
+        terms[w] = terms[w] + f if w in terms else f
+        if terms[w].is_zero():
+            del terms[w]
+    return AlgebraElement(datum, terms)
 
 
 def normal_form_to_dict(nf) -> dict:

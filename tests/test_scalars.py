@@ -1,10 +1,13 @@
 """Field arithmetic in Q(q) and the scalar text grammar."""
 
 import random
+from unittest import mock
 
 import pytest
 
-from torushecke.scalars import QScalar, ScalarParseError, parse_scalar, scalar_str
+from torushecke import scalars
+from torushecke.scalars import (EXPONENT_BOUND, QScalar, ScalarParseError,
+                                parse_scalar, scalar_str)
 
 Q = QScalar.q_power(1)
 ONE = QScalar.one()
@@ -86,8 +89,11 @@ def test_parse_scalar_odd_inputs_pinned():
     assert parse_scalar("+*q") == Q
     assert parse_scalar("2q") == Q + Q
     assert parse_scalar("(q)") == Q
+    assert parse_scalar("\N{ARABIC-INDIC DIGIT THREE}q") == QScalar((3,)) * Q
+    assert parse_scalar("q^007") == Q ** 7
+    assert parse_scalar("2q3") == Q + Q + QScalar((3,))
     for bad in ("((q))", "(1/q)", "1/2/3", "q^+2", "2*", "--1", "()", "/1",
-                "0/0", "(q)+(1)"):
+                "0/0", "(q)+(1)", "q^-"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
 
@@ -99,3 +105,97 @@ def test_parse_scalar_bounds_exponents():
     for bad in ("q^65536+1", "q^-65536", "1/q^1000000", "q^1000000000+1"):
         with pytest.raises(ScalarParseError, match="out of range"):
             parse_scalar(bad)
+
+
+def _reference_digits_end(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isdecimal():
+        pos += 1
+    return pos
+
+
+def _reference_parse_poly(text: str) -> dict[int, int]:
+    """The character scanner that ``_parse_poly`` replaced, kept with its
+    term collector below as the oracle for the pattern."""
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1]
+    if not text:
+        raise ScalarParseError("empty polynomial")
+    out: dict[int, int] = {}
+    pos = 0
+    while pos < len(text):
+        start = pos
+        sign = -1 if text[pos] == "-" else 1
+        if text[pos] in "+-":
+            pos += 1
+        end = _reference_digits_end(text, pos)
+        has_q = text.startswith("q", end) or text.startswith("*q", end)
+        if end == pos and not has_q:
+            raise ScalarParseError(f"cannot parse scalar near {text[start:]!r}")
+        coef = sign * int(text[pos:end]) if end > pos else sign
+        pos = end
+        e = 0
+        if has_q:
+            pos += 2 if text[pos] == "*" else 1
+            e = 1
+            if text.startswith("^", pos):
+                first = pos + 2 if text.startswith("-", pos + 1) else pos + 1
+                end = _reference_digits_end(text, first)
+                if end > first:
+                    e = int(text[pos + 1:end])
+                    pos = end
+                    if not -EXPONENT_BOUND < e < EXPONENT_BOUND:
+                        raise ScalarParseError(
+                            f"exponent q^{e} is out of range: "
+                            f"|e| must be below {EXPONENT_BOUND}")
+        out[e] = out.get(e, 0) + coef
+    return out
+
+
+def _reference_poly_from_terms(terms: dict[int, int]) -> tuple[int, tuple]:
+    live = {e: c for e, c in terms.items() if c}
+    if not live:
+        return 0, ()
+    low = min(live)
+    cs = [0] * (max(live) - low + 1)
+    for e, c in live.items():
+        cs[e - low] = c
+    return low, tuple(cs)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ScalarParseError as exc:
+        return "refused", str(exc)
+    if isinstance(value, QScalar):
+        return value, scalar_str(value)
+    return value
+
+
+# the grammar alphabet, a Unicode digit, the pieces of a power of q, and
+# exponents at and past the bound
+_TOKENS = list("0123456789q^*+-()") + [
+    "\N{ARABIC-INDIC DIGIT SEVEN}", "*q", "q^", "q^-",
+    str(EXPONENT_BOUND - 1), str(EXPONENT_BOUND)]
+
+
+def test_parse_poly_matches_the_reference_scanner():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(st.sampled_from(_TOKENS), max_size=10),
+                      st.lists(st.sampled_from(_TOKENS + ["/", " "]),
+                               max_size=10))
+    def check(poly, scalar):
+        poly, scalar = "".join(poly), "".join(scalar)
+        assert (_outcome(scalars._parse_poly, poly)
+                == _outcome(_reference_parse_poly, poly))
+        with mock.patch.multiple(
+                scalars, _parse_poly=_reference_parse_poly,
+                _poly_from_terms=_reference_poly_from_terms):
+            expected = _outcome(parse_scalar, scalar)
+        assert _outcome(parse_scalar, scalar) == expected
+
+    check()

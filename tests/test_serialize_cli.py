@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from torushecke.cli import run_cli
 from torushecke.demazure import normal_form, sigma_along_word
 from torushecke.laurent import RatFunc
 from torushecke.rootdata import canonicalize_word, preset_datum
-from torushecke.scalars import QScalar
+from torushecke.scalars import QScalar, parse_scalar
 from torushecke.serialize import (
     SerializeError,
     dump_report,
@@ -622,3 +623,76 @@ def test_a_multiplicity_at_the_load_bound_is_refused_and_one_below_loads():
     assert x.coefficient(x.support()[0]).factors()[0].mult == 2 ** 14 - 1
     with pytest.raises(SerializeError, match=r"terms\[0\]\.den\[0\]\.mult"):
         load(2 ** 14)
+
+
+def test_a_multiplicity_is_bounded_over_the_orbit_of_its_root(tmp_path, capsys):
+    def write(mult):
+        # products twist (alpha_1 + alpha_2) over [s_1 s_2] to other roots
+        path = tmp_path / f"twist{mult}.json"
+        path.write_text(json.dumps({"terms": [{
+            "word": [1, 2], "num": [{"coef": "1", "exp": [0, 0]}],
+            "den": [{"root": [1, 1], "target": "1", "mult": mult}]}]}))
+        return str(path)
+
+    # on A2 every root has max|2 beta| = 4, so 32 767 passes a bound on
+    # alpha_1 + alpha_2 alone ((2, 2) doubled) but not on its orbit
+    path = write(32767)
+    for command, files in ((["check", "--level", "hq"], [path]),
+                           (["nf"], [path]), (["mul"], [path, path])):
+        assert run_cli([*command, "-d", "A2", *files]) == 2
+        captured = capsys.readouterr()
+        assert ("terms[0].den[0].mult: multiplicity 32767 is out of range"
+                in captured.err)
+        assert captured.out == ""
+    below = write(2 ** 14 - 1)
+    assert run_cli(["mul", "-d", "A2", below, below]) == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer-string conversion")
+@pytest.mark.parametrize("coef", ["1", "q^", "q^-"])
+def test_element_from_dict_names_literals_past_the_int_limit(coef):
+    coef += "1" * (sys.get_int_max_str_digits() + 1)
+    payload = {"terms": [{"word": [], "num": [{"coef": coef, "exp": [0, 0]}]}]}
+    with pytest.raises(SerializeError, match=r"terms\[0\]\.num\[0\]\.coef: "
+                                             "integer literal is too long"):
+        element_from_dict(preset_datum("A2"), payload)
+
+
+def test_element_from_dict_keeps_the_term_order_of_a_running_sum():
+    # the order of terms fixes the order of check violations: a word
+    # whose sum cancels is dropped and goes to the end when it reappears
+    datum = preset_datum("A2")
+    entries = [([], "1"), ([1], "1"), ([], "-1"), ([2], "1"), ([1], "q"),
+               ([], "q")]
+    x = element_from_dict(datum, {"terms": [
+        {"word": w, "num": [{"coef": c, "exp": [0, 0]}]} for w, c in entries]})
+    assert [w.word for w in x.terms] == [(1,), (2,), ()]
+    running = AlgebraElement.zero(datum)
+    for w, c in entries:
+        running = running + AlgebraElement(datum, {
+            canonicalize_word(datum, w): RatFunc.from_scalar(
+                datum, parse_scalar(c))})
+    assert list(x.terms) == list(running.terms)
+    assert x == running
+
+
+def test_element_from_dict_loads_in_linear_time():
+    # a running sum copies the whole numerator per entry: about 16x the
+    # time for 4x the monomials, against about 4x for one pass
+    datum = preset_datum("A2")
+
+    def load_time(n):
+        side = int(n ** 0.5) + 1
+        payload = {"terms": [{"word": [], "num": [
+            {"coef": "q^2-1", "exp": [2 * (k // side), 2 * (k % side)]}
+            for k in range(n)]}]}
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            x = element_from_dict(datum, payload)
+            best = min(best, time.perf_counter() - start)
+        assert x.coefficient(datum.identity).num.term_count() == n
+        return best
+
+    assert load_time(16000) / load_time(4000) < 8
