@@ -19,8 +19,8 @@ from .demazure import (make_sigma, make_sigma_inverse, normal_form,
                        sigma_along_word, sigma_of_element)
 from .laurent import RatFunc, expand_den_factor, vanishes_on_divisor
 from .membership import check_membership, delta_criterion
-from .rootdata import (RootDatum, all_positive_roots, multiply_elts,
-                       reduced_words, weyl_ball)
+from .rootdata import (RootDatum, all_positive_roots, canonicalize_word,
+                       multiply_elts, reduced_words, weyl_ball)
 from .sampling import (random_laurent_poly, random_outlier,
                        random_small_algebra_element)
 from .scalars import QScalar
@@ -121,6 +121,11 @@ def braid_suite(datum: RootDatum, max_length: Optional[int] = None) -> RelationR
     reduced words has length min m_ij, so a bound below every finite m_ij
     would check nothing and raises ValueError; data with no finite m_ij
     off the diagonal (A1, A1aff) give an empty report.
+
+    Once every reduced word of an element u gave one product sigma_u, a
+    word ending in i with prefix element u takes sigma_u sigma_i, formed
+    once per (u, i): equal factors give equal products, so every verdict
+    and failure diff is the one the per-word products give.
     """
     if max_length is None:
         max_length = len(all_positive_roots(datum)) if datum.kind == "finite" else 4
@@ -133,22 +138,44 @@ def braid_suite(datum: RootDatum, max_length: Optional[int] = None) -> RelationR
             f"relation (m_ij = {min(orders)}); no element has two reduced "
             "words to compare")
     entries = []
+    # sigma_u of each element u whose reduced words all gave one product
+    agreed: dict = {}
     for w in weyl_ball(datum, max_length):
         if w.length < 2:
             continue
         words = reduced_words(datum, w)
         if len(words) < 2:
             continue
-        base = sigma_along_word(datum, words[0])
+        shared: dict = {}
+        base = _sigma_along_reduced(datum, w, words[0], agreed, shared)
         inst = f"w={_fmt_word(w.word)}"
         for word in words[1:]:
-            other = sigma_along_word(datum, word)
-            if other != base:
+            other = _sigma_along_reduced(datum, w, word, agreed, shared)
+            if other is not base and other != base:
                 entries.append(ReportEntry("braid", inst, "fail", other - base))
                 break
         else:
             entries.append(ReportEntry("braid", inst, "pass"))
+            if w.length < max_length:  # else no word in the ball extends w
+                agreed[w] = base
     return RelationReport(entries)
+
+
+def _sigma_along_reduced(datum: RootDatum, w, word, agreed: dict,
+                         shared: dict) -> AlgebraElement:
+    """sigma along a reduced word of w that ends in i: sigma_u sigma_i,
+    kept in ``shared``, when u = w s_i is in ``agreed``, and otherwise the
+    per-word product, so the datum's word cache holds only per-word forms.
+    """
+    lab = word[-1]
+    got = shared.get(lab)
+    if got is None:
+        u = multiply_elts(datum, w, canonicalize_word(datum, (lab,)))
+        sigma_u = agreed.get(u)
+        if sigma_u is None:
+            return sigma_along_word(datum, word)
+        got = shared[lab] = sigma_u * make_sigma(datum, lab)
+    return got
 
 
 # the length_additive_suite bound: pairs of elements of length one and two

@@ -44,6 +44,7 @@ denominator when v < 0.
 from __future__ import annotations
 
 import re
+import struct
 from math import gcd
 
 __all__ = ["QScalar", "parse_scalar", "scalar_str", "ScalarParseError"]
@@ -60,6 +61,9 @@ _K = 64
 _MASK = (1 << _K) - 1
 _TOP = 1 << (_K - 1)
 _LIMIT = 62
+# Numerators of more digits than this convert through bytes, in time
+# linear in their size; the digit loops are quadratic but faster below it.
+_WIDE = 32
 
 # Exponents read from text, here the powers of q and in ``laurent`` the
 # torus exponents, must lie strictly between -EXPONENT_BOUND and
@@ -188,6 +192,8 @@ def _reduce(v: int, n: Coeffs, d: Coeffs) -> tuple[int, Coeffs, Coeffs]:
 
 def _unpack(n: int) -> Coeffs:
     """The signed base-2^64 digits of a packed numerator, low to high."""
+    if n.bit_length() > _K * _WIDE:
+        return _unpack_bytes(n)
     out = []
     while n:
         c = n & _MASK
@@ -196,6 +202,36 @@ def _unpack(n: int) -> Coeffs:
         out.append(c)
         n = (n - c) >> _K
     return tuple(out)
+
+
+def _pack(cs: Coeffs) -> int:
+    """sum c_i 2^(64 i) for digits -2^63 <= c_i < 2^63."""
+    if len(cs) > _WIDE:
+        return _pack_bytes(cs)
+    return sum(c << _K * i for i, c in enumerate(cs))
+
+
+# The bytes codec: adding 2^63 to every signed digit gives the unsigned
+# base-2^64 digits of n + offset, which one to_bytes or from_bytes and one
+# struct call convert.
+
+
+def _offset(k: int) -> int:
+    """2^63 in each of k digits, as one geometric series."""
+    return _TOP * ((1 << _K * k) - 1) // _MASK
+
+
+def _unpack_bytes(n: int) -> Coeffs:
+    # a signed digit can carry into one digit above the bit length
+    k = n.bit_length() // _K + 2
+    u = struct.unpack(f"<{k}Q", (n + _offset(k)).to_bytes(8 * k, "little"))
+    return _trim([c - _TOP for c in u])
+
+
+def _pack_bytes(cs: Coeffs) -> int:
+    k = len(cs)
+    u = struct.pack(f"<{k}Q", *[c + _TOP for c in cs])
+    return int.from_bytes(u, "little") - _offset(k)
 
 
 _new = object.__new__
@@ -214,7 +250,7 @@ def _scalar(v: int, n: Coeffs, d: Coeffs) -> "QScalar":
     if d == _UNIT:
         h = (sum(map(abs, n)) - 1).bit_length()
         if h < _LIMIT:
-            return _make(v, sum(c << _K * i for i, c in enumerate(n)), _UNIT, h)
+            return _make(v, _pack(n), _UNIT, h)
     return _make(v, n, d, _LIMIT)
 
 
@@ -291,11 +327,12 @@ class QScalar:
             n = a + (b << _K * (w - v))
             if not n:
                 return _ZERO
-            # only equal valuations can cancel the lowest digit
-            if v == w:
-                while not n & _MASK:
-                    n >>= _K
-                    v += 1
+            # only equal valuations can cancel the lowest digit; the
+            # zero digits go in one shift, read off the lowest set bit
+            if v == w and not n & _MASK:
+                k = ((n & -n).bit_length() - 1) // _K
+                n >>= _K * k
+                v += k
             if h < _LIMIT:
                 return _make(v, n, _UNIT, h)
             # the bound reached the limit: read the exact one off the digits

@@ -9,6 +9,8 @@ survive a round trip unchanged.
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 from .algebra import AlgebraElement
 from .laurent import LaurentError, LaurentPoly, RatFunc
@@ -215,10 +217,26 @@ def dump_report(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# a JSON string or number; the decoder reads a number with neither
+# fraction nor exponent through int().  It is compiled on that error path
+# only, so importing the module compiles no pattern
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][+-]?\d+)?'
+
+
 def load_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SerializeError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+        raise _invalid(exc) from None
+    except ValueError:
+        # int() refused an integer literal past the int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        pos = next(m.start() for m in re.finditer(_JSON_TOKEN, text)
+                   if m[1] and not (m[2] or m[3]) and len(m[1]) > limit)
+        raise _invalid(json.JSONDecodeError(
+            "integer literal is too long", text, pos)) from None
+
+
+def _invalid(exc: json.JSONDecodeError) -> SerializeError:
+    return SerializeError(
+        f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")

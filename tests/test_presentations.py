@@ -21,7 +21,7 @@ from torushecke.presentations import (
     verify_finite_suite,
 )
 import torushecke.presentations as presentations
-from torushecke.demazure import sigma_along_word, sigma_of_element
+from torushecke.demazure import make_sigma, sigma_along_word, sigma_of_element
 from torushecke.rootdata import (
     CartanMatrix,
     all_positive_roots,
@@ -30,6 +30,7 @@ from torushecke.rootdata import (
     reduced_words,
     weyl_ball,
 )
+from torushecke.scalars import QScalar
 from torushecke.serialize import dump_report, element_to_dict, normal_form_to_dict
 
 
@@ -136,6 +137,66 @@ def test_braid_suite_relaxed_affine_frozen():
         "3db0160f3134d984546bafefaefffb3a3003412e6c687157f4d2ced43cba6793")
 
 
+def _perturbed(name: str, label: int):
+    """A fresh datum whose cached sigma_label is replaced by sigma_label + q.
+    As q is central, relations with m_ij = 2 through the label still hold;
+    those with m_ij = 3 or 4 fail."""
+    datum = _datum(name)
+    sigma = make_sigma(datum, label)
+    datum.extra["sigma_gens"][label] = \
+        sigma + AlgebraElement.identity(datum) * QScalar.q_power(1)
+    return datum
+
+
+def _per_word_braid(datum, max_length):
+    """The braid report from sigma_along_word on every reduced word."""
+    entries = []
+    for w in weyl_ball(datum, max_length):
+        words = reduced_words(datum, w)
+        if len(words) < 2:
+            continue
+        base = sigma_along_word(datum, words[0])
+        inst = "w=" + "-".join(map(str, w.word))
+        for word in words[1:]:
+            other = sigma_along_word(datum, word)
+            if other != base:
+                entries.append(ReportEntry("braid", inst, "fail", other - base))
+                break
+        else:
+            entries.append(ReportEntry("braid", inst, "pass"))
+    return RelationReport(entries)
+
+
+@pytest.mark.parametrize("name, max_length, label", [
+    ("A2aff", 5, 0), ("A2aff", 5, 2), ("B2", None, 1), ("A3", None, 1)])
+def test_braid_suite_matches_per_word_products_with_a_perturbed_generator(
+        name, max_length, label):
+    # products shared through an agreed prefix must leave every verdict
+    # and every failure diff as the per-word evaluation gives them
+    rep = braid_suite(_perturbed(name, label), max_length)
+    datum = _perturbed(name, label)
+    reference = _per_word_braid(
+        datum, max_length or len(all_positive_roots(datum)))
+    assert dump_report({"entries": rep.to_list()}) == \
+        dump_report({"entries": reference.to_list()})
+    assert not rep.ok
+
+
+def test_braid_suite_forms_each_shared_product_once(monkeypatch):
+    # A2aff to length 6: 105 products along every word, 75 when words
+    # whose prefix element agreed share sigma_u sigma_i
+    count = [0]
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    assert braid_suite(preset_datum("A2aff"), 6).ok
+    assert count[0] == 75
+
+
 # -- computed values, hashed ----------------------------------------------
 # A passing report carries no computed value, so its bytes are the same on
 # every datum; these pins hash the values behind the verdicts instead.
@@ -150,6 +211,7 @@ def _digest(payloads) -> str:
 
 # data beyond the presets, by Cartan matrix (B3 and C3 as in test_rootdata)
 _MATRICES = {
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
     "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
     "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "G2aff": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],

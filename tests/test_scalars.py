@@ -107,6 +107,55 @@ def test_parse_scalar_bounds_exponents():
             parse_scalar(bad)
 
 
+def _peel(n: int) -> tuple:
+    """The signed base-2^64 digits of n by the digit-peel definition: each
+    digit is n mod 2^64 taken in [-2^63, 2^63)."""
+    out = []
+    while n:
+        c = n % 2 ** 64
+        c = c - 2 ** 64 if c >= 2 ** 63 else c
+        out.append(c)
+        n = (n - c) // 2 ** 64
+    return tuple(out)
+
+
+_DIGIT_EDGES = [-(2 ** 63), -(2 ** 63) + 1, -(2 ** 62), -1, 0, 1, 2 ** 62,
+                2 ** 63 - 1]
+
+
+def test_bytes_codec_matches_the_digit_peel():
+    rng = random.Random(20261019)
+    cases = [(c,) for c in _DIGIT_EDGES if c]
+    # 2^127 - 2^63 has three signed digits, one more than its bit length
+    cases.append((-(2 ** 63), -(2 ** 63), 1))
+    for size in [*range(1, 40), 64, 100, 257]:
+        for pick in (lambda: rng.choice(_DIGIT_EDGES),
+                     lambda: rng.randrange(-(2 ** 63), 2 ** 63),
+                     lambda: rng.randrange(-5, 6)):
+            cs = [pick() for _ in range(size)]
+            cs[-1] = cs[-1] or rng.choice((-(2 ** 63), 1, 2 ** 63 - 1))
+            cases.append(tuple(cs))
+    for cs in cases:
+        n = sum(c << 64 * i for i, c in enumerate(cs))
+        assert _peel(n) == cs
+        assert scalars._unpack_bytes(n) == cs == scalars._unpack(n)
+        assert scalars._pack_bytes(cs) == n == scalars._pack(cs)
+
+
+def test_wide_packed_scalars_round_trip():
+    # past the codec threshold a packed numerator reads back digit by
+    # digit, and a sum that cancels the low digits sheds them all at once
+    wide = parse_scalar(f"q^{EXPONENT_BOUND - 1}+q^-{EXPONENT_BOUND - 1}")
+    assert wide.num == (1,) + (0,) * (2 * EXPONENT_BOUND - 3) + (1,)
+    assert wide.den == (0,) * (EXPONENT_BOUND - 1) + (1,)
+    assert str(wide) == f"(q^{2 * EXPONENT_BOUND - 2}+1)/q^{EXPONENT_BOUND - 1}"
+    cs = tuple(k % 7 - 3 for k in range(201))
+    dense = QScalar(cs)
+    assert dense.num == cs and dense.h < scalars._LIMIT
+    assert (dense * wide - wide * dense).is_zero()
+    assert (dense + wide) - wide == dense
+
+
 def _reference_digits_end(text: str, pos: int) -> int:
     while pos < len(text) and text[pos].isdecimal():
         pos += 1

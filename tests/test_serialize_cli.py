@@ -659,6 +659,36 @@ def test_element_from_dict_names_literals_past_the_int_limit(coef):
         element_from_dict(preset_datum("A2"), payload)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer-string conversion")
+def test_cli_names_the_place_of_a_json_integer_past_the_int_limit(
+        tmp_path, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.json"
+    # a longer float and a longer string before it are read as they are
+    path.write_text('{"terms": [{"word": [], "pad": [1.%s, "%s"],\n'
+                    '  "num": [{"coef": "1", "exp": [0, -%s]}]}]}'
+                    % (digits, digits, digits))
+    assert run_cli(["nf", "-d", "A2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: invalid JSON at line 2, column 36: "
+                            "integer literal is too long\n")
+    assert captured.out == ""
+
+
+def test_cli_nf_on_a_coefficient_spanning_the_exponent_bound(tmp_path, capsys):
+    # the numerator spans 131 071 powers of q; converting its packed form
+    # one digit at a time took about 100 s
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"terms": [{"word": [], "num": [
+        {"coef": "q^65535+q^-65535", "exp": [0, 0]}]}]}))
+    start = time.perf_counter()
+    assert run_cli(["nf", "-d", "A2", str(path)]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out)["coefficients"] == [
+        {"scalar": "(q^131070+1)/q^65535", "word": []}]
+
+
 def test_element_from_dict_keeps_the_term_order_of_a_running_sum():
     # the order of terms fixes the order of check violations: a word
     # whose sum cancels is dropped and goes to the end when it reappears
