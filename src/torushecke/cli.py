@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .demazure import NotInSpan, normal_form
 from .elliptic import EllipticCurveParams, check_elliptic, verify_prop46
+from .laurent import LaurentError
 from .membership import check_membership
 from .presentations import (action_preservation_suite, bernstein_suite,
                             braid_suite, closure_suite, delta_criterion_suite,
@@ -184,9 +185,14 @@ def _cmd_datum(args):
 def _cmd_mul(args):
     datum = _load_datum(args.datum)
     prod = None
-    for path in args.files:
+    for i, path in enumerate(args.files):
         x = _load_element(datum, path)
-        prod = x if prod is None else prod * x
+        # on affine data a twist can take a factor of x past the exponent
+        # bound that x passed on load
+        try:
+            prod = x if prod is None else prod * x
+        except LaurentError as exc:
+            raise ValueError(f"files[{i}] ({Path(path).name}): {exc}") from None
     return element_to_dict(prod), 0
 
 

@@ -66,7 +66,10 @@ things use it:
   so only keys of equal multiplicity are tried;
 - equality: reduced forms are compared directly, with no subtraction;
 - twists: a function never changes once built, so ``weyl_transform``
-  keeps each image on the instance;
+  returns it unchanged under the identity and keeps every other image
+  on the instance; a denominator factor moves by lookups in two small
+  value-keyed tables on the datum, of image roots and of the sign units
+  a negative image moves into the numerator;
 - residue pairs: ``check_membership`` compares the keys at t^alpha = 1
   and decides the rest by one restriction, without forming the sum.
 
@@ -534,6 +537,15 @@ def _add_root_factor(den: dict, root, target: QScalar, mult: int,
     return key, num
 
 
+def _root_image(datum, w, coords) -> tuple:
+    """(doubled character, coords, negated) of the positive root +-w(beta)."""
+    img = datum.apply_root_matrix(w, datum.root_from_coords(coords))
+    negated = not img.positive
+    if negated:
+        img = img.negate()
+    return tuple(2 * x for x in img.char), img.coords, negated
+
+
 class RatFunc:
     """num / prod (t^beta_i - c_i)^{m_i} with beta_i positive real roots.
 
@@ -550,7 +562,9 @@ class RatFunc:
     datum is ``relaxed``, distinct keys cut coprime binomials, so the
     reduced form is canonical: sums try only keys of equal multiplicity,
     ``==`` compares keys, multiplicities and numerators, and each
-    ``weyl_transform`` image is kept on the instance.
+    ``weyl_transform`` image is kept on the instance (the identity's is
+    the instance itself).  The images of stored roots and the sign units
+    a twist moves into the numerator are read from per-datum tables.
     """
 
     # _twists: {group element: ^w self}, created by the first weyl_transform
@@ -738,9 +752,14 @@ class RatFunc:
 
         A reduced function stays reduced (the action permutes divisors),
         so no cancellation pass is needed here.  A function does not
-        change once built, so each image is kept on the instance: the
-        cached generators are twisted once per group element.
+        change once built, so the identity returns self and every other
+        image is kept on the instance: the cached generators are twisted
+        once per group element.  Each denominator factor moves by one
+        lookup in the datum's root-image table, as ``_add_root_factor``
+        would move the image root.
         """
+        if not w.word:
+            return self
         try:
             memo = self._twists
         except AttributeError:
@@ -748,14 +767,32 @@ class RatFunc:
         got = memo.get(w)
         if got is not None:
             return got
-        cmat = char_matrix(self.datum, w)
-        num = self.num.transform_exponents(cmat)
+        datum = self.datum
+        num = self.num.transform_exponents(char_matrix(datum, w))
         den: dict = {}
-        for (_dchar, target), (m, rep) in self.den.items():
-            img = self.datum.apply_root_matrix(
-                w, self.datum.root_from_coords(rep))
-            num = _add_root_factor(den, img, target, m, num)[1]
-        out = memo[w] = RatFunc(self.datum, num, den)
+        if self.den:
+            # per-datum tables keyed by values: {w: {stored root coords:
+            # (doubled char, coords, negated) of the positive image}} and
+            # {(c, m): ((-c)^(-m), 1/c)}, the unit and target of a negated
+            # image; tens to about a hundred entries on the suites' data
+            images, units = datum.extra.setdefault("twist_tables", ({}, {}))
+            row = images.setdefault(w, {})
+            for (_dchar, target), (m, rep) in self.den.items():
+                img = row.get(rep)
+                if img is None:
+                    img = row[rep] = _root_image(datum, w, rep)
+                dchar, coords, negated = img
+                if negated:
+                    unit = units.get((target, m))
+                    if unit is None:
+                        unit = units[(target, m)] = (
+                            (-target) ** (-m), target.inverse())
+                    num = num.scale(unit[0]).shift(tuple(m * x for x in dchar))
+                    target = unit[1]
+                key = (dchar, target)
+                got = den.get(key)
+                den[key] = (m if got is None else got[0] + m, coords)
+        out = memo[w] = RatFunc(datum, num, den)
         return out
 
     def __repr__(self):

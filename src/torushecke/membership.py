@@ -20,7 +20,14 @@ the other side's denominator that each side lacks; the residues cancel
 exactly when t^alpha - 1 divides a E_a + b E_b.  Restriction to the
 divisor is a ring homomorphism, so the numerators and the missing
 factors are restricted first and the restrictions multiplied; when the
-other keys agree, one restriction of a + b decides it.
+other keys agree, one restriction of a + b decides it.  A restricted
+missing factor depends only on its key, its gap and alpha, so each is
+restricted once per datum and kept in ``datum.extra``.
+
+Only a coefficient with a pole other than a simple one on some
+t^alpha = 1 can break "1.3.1"; the others enter the residue scan
+straight from their denominators, and the sorted factors that fix the
+order of the violations are built only for the rest.
 
 The condition identifiers above are the wire format used in reports.
 """
@@ -107,6 +114,13 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
     scan: dict[tuple, tuple] = {}  # root coords -> doubled char
     overorder: set[tuple] = set()
     for w, f in x.terms.items():
+        # simple poles on t^alpha = 1 break no rule: only a coefficient
+        # with another pole pays for the sorted factors of its violations
+        if all(m == 1 and target.is_one()
+               for (_dchar, target), (m, _rep) in f.den.items()):
+            for (dchar, _target), (_m, rep) in f.den.items():
+                scan[rep] = dchar
+            continue
         for fac in f.factors():
             if fac.target == _ONE:
                 scan[fac.root_coords] = fac.char_doubled
@@ -177,7 +191,9 @@ def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
 
 def _lift(f: RatFunc, g: RatFunc, dchar):
     """f.num times the factors of g's denominator that f lacks, all
-    restricted to t^alpha = 1 first; f.num itself if it lacks none."""
+    restricted to t^alpha = 1 first; f.num itself if it lacks none.
+    Restricted factors are kept per datum, keyed by (key, gap, alpha).
+    """
     missing = []
     for key, (m, _rep) in g.den.items():
         gap = m - f.den.get(key, (0,))[0]
@@ -186,10 +202,15 @@ def _lift(f: RatFunc, g: RatFunc, dchar):
     if not missing:
         return f.num
     rank = f.num.rank
+    restricted = f.datum.extra.setdefault("restricted_factors", {})
     out = restrict_to_divisor(f.num, dchar, _ONE)
     for (fchar, target), gap in missing:
-        out = out * restrict_to_divisor(
-            expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
+        key = (fchar, target, gap, dchar)
+        fac = restricted.get(key)
+        if fac is None:
+            fac = restricted[key] = restrict_to_divisor(
+                expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
+        out = out * fac
     return out
 
 

@@ -15,6 +15,7 @@ from torushecke.laurent import (
     LaurentError,
     LaurentPoly,
     RatFunc,
+    _add_root_factor,
     _linear_form,
     _pack,
     _unpack,
@@ -28,6 +29,7 @@ from torushecke.rootdata import (
     all_positive_roots,
     build_datum,
     canonicalize_word,
+    char_matrix,
     multiply_elts,
     positive_real_roots_up_to_height,
     preset_datum,
@@ -181,6 +183,66 @@ def test_weyl_transform_is_an_action():
         y = rng.choice(ball)
         lhs = f.weyl_transform(y).weyl_transform(w)
         assert lhs == f.weyl_transform(multiply_elts(datum, w, y))
+
+
+def _reference_twist(f, w):
+    """^w f the way it was built before the datum's twist tables: the image
+    of every stored root rebuilt from its coords and moved by the matrix."""
+    datum = f.datum
+    num = f.num.transform_exponents(char_matrix(datum, w))
+    den = {}
+    for (_dchar, target), (m, rep) in f.den.items():
+        img = datum.apply_root_matrix(w, datum.root_from_coords(rep))
+        num = _add_root_factor(den, img, target, m, num)[1]
+    return num, den
+
+
+# every element of the finite data, A2aff up to length 4
+TWIST_DATA = {"A2": 3, "B2": 4, "G2": 6, "B3": 9, "A2aff": 4}
+
+
+def test_weyl_transform_matches_the_root_by_root_construction():
+    rng = random.Random(19)
+    for name, length in TWIST_DATA.items():
+        if name == "B3":
+            datum = build_datum(CartanMatrix(
+                [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]))
+        else:
+            datum = preset_datum(name)
+        roots = positive_real_roots_up_to_height(datum, 3)
+        funcs = []
+        for k in range(6):
+            f = RatFunc(datum, _random_poly(rng, datum.rank, terms=3, span=2))
+            for root in rng.sample(roots, 1 + k % 3):
+                f = f.with_den_factor(root, rng.choice((ONE, Q ** -2, Q ** 2)),
+                                      rng.randint(1, 2))
+            funcs.append(f)
+        assert {len(f.den) for f in funcs} == {1, 2, 3}
+        ball = weyl_ball(datum, length)
+        negated = 0
+        for w in ball:
+            for f in funcs:
+                # each function twists by w twice, the second time through
+                # the instance memo; the table serves the other functions
+                for _ in range(2):
+                    got = f.weyl_transform(w)
+                    num, den = _reference_twist(f, w)
+                    assert list(got.num._keyed.items()) == list(num._keyed.items())
+                    assert list(got.den.items()) == list(den.items())
+                negated += any(
+                    not datum.apply_root_matrix(
+                        w, datum.root_from_coords(rep)).positive
+                    for _m, rep in f.den.values())
+        assert negated > len(ball)
+
+
+def test_weyl_transform_by_the_identity_is_the_function():
+    for name in ("A2", "A2aff"):
+        datum = preset_datum(name)
+        f = RatFunc.character(datum, datum.simple_root_obj(1).char).with_den_factor(
+            datum.simple_root_obj(2), Q ** -2, 2)
+        assert f.weyl_transform(datum.identity) is f
+        assert f.weyl_transform(canonicalize_word(datum, ())) is f
 
 
 def test_half_characters_multiply():

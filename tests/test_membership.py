@@ -6,13 +6,16 @@ import pytest
 
 from torushecke.algebra import AlgebraElement
 from torushecke.demazure import sigma_along_word
-from torushecke.laurent import LaurentPoly, RatFunc, expand_den_factor
-from torushecke.membership import (_residues_cancel, check_membership,
+from torushecke.laurent import (LaurentPoly, RatFunc, expand_den_factor,
+                                restrict_to_divisor, vanishes_on_divisor)
+from torushecke.membership import (_lift, _residues_cancel, check_membership,
                                    delta_criterion)
-from torushecke.rootdata import (canonicalize_word,
-                                 positive_real_roots_up_to_height, preset_datum)
+from torushecke.rootdata import (canonicalize_word, inversion_set,
+                                 multiply_elts,
+                                 positive_real_roots_up_to_height, preset_datum,
+                                 reflection_of_root)
 from torushecke.sampling import random_outlier, random_small_algebra_element
-from torushecke.scalars import QScalar
+from torushecke.scalars import QScalar, scalar_str
 
 ONE = QScalar.one()
 Q = QScalar.q_power(1)
@@ -170,3 +173,145 @@ def test_pair_rule_matches_the_pair_sum():
         assert _residues_cancel(g, f, dchar) is expected
 
     check()
+
+
+def _reference_check(x, level):
+    """``check_membership(x, level).to_dict()`` the way it was computed
+    before the factor scan: the sorted factors of every coefficient, and
+    every missing factor restricted afresh."""
+    datum = x.datum
+    violations = []
+    scan, overorder = {}, set()
+    for w, f in x.terms.items():
+        for fac in f.factors():
+            if fac.target == ONE:
+                scan[fac.root_coords] = fac.char_doubled
+                if fac.mult > 1:
+                    overorder.add(fac.root_coords)
+                    violations.append(("1.3.1", w.word, fac.root_coords,
+                                       f"pole of order {fac.mult} on t^alpha "
+                                       "= 1; only first-order poles are "
+                                       "allowed"))
+            else:
+                violations.append(("1.3.1", w.word, fac.root_coords,
+                                   f"pole on t^alpha = {scalar_str(fac.target)}"
+                                   ", which is not a permitted divisor"))
+    for coords, dchar in sorted(scan.items()):
+        if coords in overorder:
+            continue
+        s_alpha = reflection_of_root(datum, datum.root_from_coords(coords))
+        partners = set()
+        for w in list(x.terms):
+            if w in partners:
+                continue
+            sw = multiply_elts(datum, s_alpha, w)
+            partners.add(sw)
+            f, g = x.coefficient(w), x.coefficient(sw)
+            mult = f.pole_mult(dchar, ONE)
+            if mult != g.pole_mult(dchar, ONE):
+                cancel = False
+            elif not mult:
+                cancel = True
+            else:
+                lifted = _direct_lift(f, g, dchar) + _direct_lift(g, f, dchar)
+                cancel = restrict_to_divisor(lifted, dchar, ONE).is_zero()
+            if not cancel:
+                violations.append(("1.3.2", w.word, coords,
+                                   "residues along t^alpha = 1 do not cancel "
+                                   f"against the reflected term "
+                                   f"[{list(sw.word)}]"))
+    if level == "hq":
+        for w, f in x.terms.items():
+            for gamma in inversion_set(datum, w):
+                dchar = tuple(2 * c for c in gamma.char)
+                if f.pole_mult(dchar, Q ** -2) > 0:
+                    violations.append(("1.3.3", w.word, gamma.coords,
+                                       "coefficient has a pole on t^gamma = "
+                                       "q^-2 where it must vanish"))
+                elif not vanishes_on_divisor(f.num, dchar, Q ** -2):
+                    violations.append(("1.3.3", w.word, gamma.coords,
+                                       "coefficient does not vanish on "
+                                       "t^gamma = q^-2"))
+    return {"level": level, "ok": not violations,
+            "scanned_roots": [list(r) for r in sorted(scan)],
+            "violations": [{"condition": c, "word": list(w), "root": list(r),
+                            "detail": d} for c, w, r, d in violations]}
+
+
+def _direct_lift(f, g, dchar):
+    missing = [(key, m - f.den.get(key, (0,))[0])
+               for key, (m, _rep) in g.den.items()
+               if m > f.den.get(key, (0,))[0]]
+    if not missing:
+        return f.num
+    out = restrict_to_divisor(f.num, dchar, ONE)
+    for (fchar, target), gap in missing:
+        out = out * restrict_to_divisor(
+            expand_den_factor(f.num.rank, fchar, target, gap), dchar, ONE)
+    return out
+
+
+def _hand_built(datum):
+    """Terms mixing simple poles on t^alpha = 1 with a double pole and
+    poles at q^-2 and q^2, so that "1.3.1" fires in a fixed order."""
+    a1, a2 = datum.simple_root_obj(datum.labels[0]), datum.simple_root_obj(
+        datum.labels[1])
+    both = datum.apply_root_matrix(canonicalize_word(datum, (datum.labels[0],)),
+                                   a2)
+    s1 = canonicalize_word(datum, (datum.labels[0],))
+    s2 = canonicalize_word(datum, (datum.labels[1],))
+    s12 = canonicalize_word(datum, datum.labels[:2])
+    one = RatFunc.one(datum)
+    lam = RatFunc.character(datum, a2.char, Q)
+    return AlgebraElement(datum, {
+        datum.identity: (lam + one).with_den_factor(a1, ONE)
+                                   .with_den_factor(both, Q ** -2),
+        s1: (lam - one).with_den_factor(a1, ONE).with_den_factor(a2, ONE, 2),
+        s2: one.with_den_factor(a2, ONE).with_den_factor(both, ONE),
+        s12: lam.with_den_factor(both, Q ** 2).with_den_factor(a1, Q ** -2, 2)
+                .with_den_factor(a2, ONE),
+    })
+
+
+def test_membership_matches_the_reference_scan():
+    for name in PAIR_DATA:
+        datum = preset_datum(name)
+        rng = random.Random(1903)
+        samples = [_hand_built(datum)]
+        for _ in range(6):
+            samples.append(random_small_algebra_element(datum, rng, 2, 2)
+                           * random_small_algebra_element(datum, rng, 2, 2))
+            samples.append(random_outlier(datum, rng))
+        conditions = []
+        for x in samples:
+            for level in ("htilde", "hq"):
+                want = _reference_check(x, level)
+                assert check_membership(x, level).to_dict() == want
+                conditions += [v["condition"] for v in want["violations"]]
+        # the hand-built element breaks "1.3.1" four times, in term order
+        first = _reference_check(samples[0], "htilde")["violations"]
+        assert [v["condition"] for v in first[:4]] == ["1.3.1"] * 4
+        assert {"1.3.1", "1.3.2", "1.3.3"} <= set(conditions)
+
+
+def test_lift_matches_the_direct_restriction():
+    for name in PAIR_DATA:
+        datum = preset_datum(name)
+        rng = random.Random(1904)
+        samples = [_hand_built(datum)] + [
+            random_outlier(datum, rng) * random_small_algebra_element(
+                datum, rng, 2, 2) for _ in range(3)]
+        pairs = 0
+        for x in samples:
+            coefs = list(x.terms.values())
+            for f in coefs:
+                for g in coefs:
+                    for (dchar, target), _ in f.den.items():
+                        if target != ONE:
+                            continue
+                        # twice: the second call reads the datum's table
+                        for _ in range(2):
+                            assert _lift(f, g, dchar) == _direct_lift(f, g, dchar)
+                        pairs += f.den.keys() != g.den.keys()
+        assert pairs > 4
+        assert datum.extra["restricted_factors"]

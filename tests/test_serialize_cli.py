@@ -648,6 +648,28 @@ def test_a_multiplicity_is_bounded_over_the_orbit_of_its_root(tmp_path, capsys):
     assert run_cli(["mul", "-d", "A2", below, below]) == 0
 
 
+def test_mul_names_the_operand_a_twist_takes_past_the_bound(tmp_path, capsys):
+    # on affine data the W-orbit of a root is infinite, so the load bound
+    # takes the root alone; the twist by f's group term then takes g's
+    # factor past it, and the refusal names g
+    def write(name, word, den):
+        path = tmp_path / name
+        path.write_text(json.dumps({"terms": [{
+            "word": word, "num": [{"coef": "1", "exp": [0, 0, 0, 0]}],
+            "den": den}]}))
+        return str(path)
+
+    f = write("f.json", [0, 1, 2, 0, 1, 2, 0, 1], [])
+    g = write("g.json", [], [{"root": [0, 1, 0], "target": "1",
+                              "mult": 16383}])
+    assert run_cli(["mul", "-d", "A2aff", f, g]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: files[1] (g.json): exponent 131064 is out "
+                            "of range: |e| must be below 65536\n")
+    assert captured.out == ""
+    assert run_cli(["mul", "-d", "A2aff", g, f]) == 0
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no limit on integer-string conversion")
 @pytest.mark.parametrize("coef", ["1", "q^", "q^-"])
