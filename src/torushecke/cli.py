@@ -22,7 +22,7 @@ from pathlib import Path
 from .demazure import NotInSpan, normal_form
 from .elliptic import EllipticCurveParams, check_elliptic, verify_prop46
 from .laurent import LaurentError
-from .membership import check_membership
+from .membership import LEVELS, check_membership
 from .presentations import (action_preservation_suite, bernstein_suite,
                             braid_suite, closure_suite, delta_criterion_suite,
                             quadratic_suite, verify_daha_suite)
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("check", _cmd_check, "membership filtration check")
     p.add_argument("file", help="element JSON file")
-    p.add_argument("--level", choices=("htilde", "hq"), default="hq")
+    p.add_argument("--level", choices=LEVELS, default="hq")
 
     p = command("nf", _cmd_nf, "normal form in the generator basis")
     p.add_argument("file", help="element JSON file")

@@ -172,13 +172,12 @@ def normal_form(x: AlgebraElement) -> NormalForm:
     rest = x
     out: dict[WeylElt, QScalar] = {}
     while not rest.is_zero():
-        support = rest.support()
-        w = max(support, key=lambda y: (y.length, y.word))
+        w = max(rest.terms, key=lambda y: (y.length, y.word))
         c_w = _leading_scalar(datum, w, rest.coefficient(w))
         out[w] = c_w
         before = set(rest.terms)
         rest = rest - (sigma_of_element(datum, w) * c_w)
-        for y in rest.support():
+        for y in rest.terms:
             assert y != w and (y in before or bruhat_leq(datum, y, w)), \
                 "support escaped the Bruhat interval"
     return NormalForm(datum, out)
@@ -207,12 +206,13 @@ def _leading_scalar(datum: RootDatum, w: WeylElt, f: RatFunc) -> QScalar:
                 f"leading coefficient does not vanish on t^{list(gamma.coords)}"
                 " = q^-2")
         poly = quot
-    if poly.term_count() != 1 or next(iter(poly.terms)) != (0,) * datum.rank:
+    const = poly.coefficient((0,) * datum.rank)
+    if poly.term_count() != 1 or const.is_zero():
         raise NotInSpan(
             w.word, "scalar",
             f"f/theta has {poly.term_count()} monomials left; "
             "a scalar coordinate needs exactly the constant")
-    return poly.terms[(0,) * datum.rank] * _Q ** (-w.length)
+    return const * _Q ** (-w.length)
 
 
 def reconstruct(nf: NormalForm) -> AlgebraElement:

@@ -67,9 +67,11 @@ things use it:
 - equality: reduced forms are compared directly, with no subtraction;
 - twists: a function never changes once built, so ``weyl_transform``
   returns it unchanged under the identity and keeps every other image
-  on the instance; a denominator factor moves by lookups in two small
-  value-keyed tables on the datum, of image roots and of the sign units
-  a negative image moves into the numerator;
+  on the instance; a denominator factor moves by a lookup in a small
+  value-keyed table of image roots on the datum, and is placed by
+  ``_place_factor``, the one rule for a negative root that
+  ``with_den_factor`` shares, which reads the sign unit it moves into
+  the numerator from a second table;
 - residue pairs: ``check_membership`` compares the keys at t^alpha = 1
   and decides the rest by one restriction, without forming the sum.
 
@@ -518,32 +520,34 @@ class RootFactor:
                 f"target={scalar_str(self.target)}, mult={self.mult})")
 
 
-def _add_root_factor(den: dict, root, target: QScalar, mult: int,
-                     num: LaurentPoly):
-    """Add (t^root - target)^mult to den, keyed by the positive root.
-
-    A negative root gamma moves a unit into the numerator,
-    1/(t^gamma - c)^m = (-c)^{-m} t^{-m gamma} / (t^{-gamma} - 1/c)^m;
-    returns the key and the numerator times that unit.
-    """
-    if not root.positive:
-        root = root.negate()
-        num = num.scale((-target) ** (-mult)).shift(
-            tuple(2 * mult * x for x in root.char))
-        target = target.inverse()
-    key = (tuple(2 * x for x in root.char), target)
-    got = den.get(key)
-    den[key] = (mult if got is None else got[0] + mult, root.coords)
-    return key, num
-
-
-def _root_image(datum, w, coords) -> tuple:
-    """(doubled character, coords, negated) of the positive root +-w(beta)."""
-    img = datum.apply_root_matrix(w, datum.root_from_coords(coords))
-    negated = not img.positive
+def _positive_root(root) -> tuple:
+    """(doubled character, coords, negated) of the positive root +-root."""
+    negated = not root.positive
     if negated:
-        img = img.negate()
-    return tuple(2 * x for x in img.char), img.coords, negated
+        root = root.negate()
+    return tuple(2 * x for x in root.char), root.coords, negated
+
+
+def _place_factor(den: dict, units: dict, image: tuple, target: QScalar,
+                  m: int, num: LaurentPoly):
+    """Add (t^gamma - target)^m to den, image = ``_positive_root(gamma)``.
+
+    A negated image, gamma = -beta, moves a unit into the numerator,
+    1/(t^-beta - c)^m = (-c)^(-m) t^(m beta) / (t^beta - 1/c)^m; the unit
+    and 1/c are read from units, the datum's table keyed by (c, m).
+    Returns the key and the numerator times that unit.
+    """
+    dchar, coords, negated = image
+    if negated:
+        unit = units.get((target, m))
+        if unit is None:
+            unit = units[(target, m)] = ((-target) ** (-m), target.inverse())
+        num = num.scale(unit[0]).shift(tuple(m * x for x in dchar))
+        target = unit[1]
+    key = (dchar, target)
+    got = den.get(key)
+    den[key] = (m if got is None else got[0] + m, coords)
+    return key, num
 
 
 class RatFunc:
@@ -563,8 +567,11 @@ class RatFunc:
     reduced form is canonical: sums try only keys of equal multiplicity,
     ``==`` compares keys, multiplicities and numerators, and each
     ``weyl_transform`` image is kept on the instance (the identity's is
-    the instance itself).  The images of stored roots and the sign units
-    a twist moves into the numerator are read from per-datum tables.
+    the instance itself).  ``with_den_factor`` and ``weyl_transform``
+    place a factor through one helper, ``_place_factor``, which flips a
+    negative root and reads the sign unit it moves into the numerator
+    from a per-datum table; twists read the images of stored roots from
+    another.
     """
 
     # _twists: {group element: ^w self}, created by the first weyl_transform
@@ -602,7 +609,9 @@ class RatFunc:
         if mult == 0 or self.is_zero():
             return self
         den = dict(self.den)
-        key, num = _add_root_factor(den, root, target, mult, self.num)
+        units = self.datum.extra.setdefault("twist_tables", ({}, {}))[1]
+        key, num = _place_factor(den, units, _positive_root(root), target,
+                                 mult, self.num)
         out = RatFunc(self.datum, num, den)
         # the other factors are poles of self, and num is self.num times a unit
         out._reduce([key])
@@ -755,8 +764,8 @@ class RatFunc:
         change once built, so the identity returns self and every other
         image is kept on the instance: the cached generators are twisted
         once per group element.  Each denominator factor moves by one
-        lookup in the datum's root-image table, as ``_add_root_factor``
-        would move the image root.
+        lookup in the datum's root-image table and is placed by
+        ``_place_factor``, as ``with_den_factor`` places a factor.
         """
         if not w.word:
             return self
@@ -772,26 +781,17 @@ class RatFunc:
         den: dict = {}
         if self.den:
             # per-datum tables keyed by values: {w: {stored root coords:
-            # (doubled char, coords, negated) of the positive image}} and
-            # {(c, m): ((-c)^(-m), 1/c)}, the unit and target of a negated
-            # image; tens to about a hundred entries on the suites' data
+            # ``_positive_root`` of its image}} and the sign units of
+            # ``_place_factor``; tens to about a hundred entries on the
+            # suites' data
             images, units = datum.extra.setdefault("twist_tables", ({}, {}))
             row = images.setdefault(w, {})
             for (_dchar, target), (m, rep) in self.den.items():
                 img = row.get(rep)
                 if img is None:
-                    img = row[rep] = _root_image(datum, w, rep)
-                dchar, coords, negated = img
-                if negated:
-                    unit = units.get((target, m))
-                    if unit is None:
-                        unit = units[(target, m)] = (
-                            (-target) ** (-m), target.inverse())
-                    num = num.scale(unit[0]).shift(tuple(m * x for x in dchar))
-                    target = unit[1]
-                key = (dchar, target)
-                got = den.get(key)
-                den[key] = (m if got is None else got[0] + m, coords)
+                    img = row[rep] = _positive_root(datum.apply_root_matrix(
+                        w, datum.root_from_coords(rep)))
+                num = _place_factor(den, units, img, target, m, num)[1]
         out = memo[w] = RatFunc(datum, num, den)
         return out
 

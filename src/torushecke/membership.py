@@ -20,14 +20,14 @@ the other side's denominator that each side lacks; the residues cancel
 exactly when t^alpha - 1 divides a E_a + b E_b.  Restriction to the
 divisor is a ring homomorphism, so the numerators and the missing
 factors are restricted first and the restrictions multiplied; when the
-other keys agree, one restriction of a + b decides it.  A restricted
-missing factor depends only on its key, its gap and alpha, so each is
-restricted once per datum and kept in ``datum.extra``.
+other keys agree, one restriction of a + b decides it.  Each missing
+factor is restricted afresh: restricted factors are not kept, since a
+table of them did not pay.
 
-Only a coefficient with a pole other than a simple one on some
-t^alpha = 1 can break "1.3.1"; the others enter the residue scan
-straight from their denominators, and the sorted factors that fix the
-order of the violations are built only for the rest.
+"1.3.1" is decided in one pass over each coefficient's denominator,
+which also fills the residue scan; only that coefficient's violations
+are sorted, by doubled character and target as ``RatFunc.factors``
+sorts, so their order does not depend on how the denominator was built.
 
 The condition identifiers above are the wire format used in reports.
 """
@@ -114,27 +114,21 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
     scan: dict[tuple, tuple] = {}  # root coords -> doubled char
     overorder: set[tuple] = set()
     for w, f in x.terms.items():
-        # simple poles on t^alpha = 1 break no rule: only a coefficient
-        # with another pole pays for the sorted factors of its violations
-        if all(m == 1 and target.is_one()
-               for (_dchar, target), (m, _rep) in f.den.items()):
-            for (dchar, _target), (_m, rep) in f.den.items():
+        found = []  # (doubled char, str(target), root coords, detail)
+        for (dchar, target), (m, rep) in f.den.items():
+            if target.is_one():
                 scan[rep] = dchar
-            continue
-        for fac in f.factors():
-            if fac.target == _ONE:
-                scan[fac.root_coords] = fac.char_doubled
-                if fac.mult > 1:
-                    overorder.add(fac.root_coords)
-                    violations.append(Violation(
-                        "1.3.1", w.word, fac.root_coords,
-                        f"pole of order {fac.mult} on t^alpha = 1; only "
-                        "first-order poles are allowed"))
+                if m == 1:
+                    continue
+                overorder.add(rep)
+                detail = (f"pole of order {m} on t^alpha = 1; only "
+                          "first-order poles are allowed")
             else:
-                violations.append(Violation(
-                    "1.3.1", w.word, fac.root_coords,
-                    f"pole on t^alpha = {scalar_str(fac.target)}, which is "
-                    "not a permitted divisor"))
+                detail = (f"pole on t^alpha = {scalar_str(target)}, which "
+                          "is not a permitted divisor")
+            found.append((dchar, str(target), rep, detail))
+        violations += [Violation("1.3.1", w.word, rep, detail)
+                       for _dchar, _target, rep, detail in sorted(found)]
     # "1.3.2": pair residues must cancel; meaningless where "1.3.1"
     # already failed at that root, so those roots are skipped
     for coords, dchar in sorted(scan.items()):
@@ -192,7 +186,7 @@ def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
 def _lift(f: RatFunc, g: RatFunc, dchar):
     """f.num times the factors of g's denominator that f lacks, all
     restricted to t^alpha = 1 first; f.num itself if it lacks none.
-    Restricted factors are kept per datum, keyed by (key, gap, alpha).
+    Each missing factor is restricted afresh; none is kept.
     """
     missing = []
     for key, (m, _rep) in g.den.items():
@@ -202,15 +196,10 @@ def _lift(f: RatFunc, g: RatFunc, dchar):
     if not missing:
         return f.num
     rank = f.num.rank
-    restricted = f.datum.extra.setdefault("restricted_factors", {})
     out = restrict_to_divisor(f.num, dchar, _ONE)
     for (fchar, target), gap in missing:
-        key = (fchar, target, gap, dchar)
-        fac = restricted.get(key)
-        if fac is None:
-            fac = restricted[key] = restrict_to_divisor(
-                expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
-        out = out * fac
+        out = out * restrict_to_divisor(
+            expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
     return out
 
 

@@ -4,7 +4,8 @@ The sha256 of every `verify -o` report on the data each suite accepts
 among A2, B2, G2 and A2aff (seed 0, six samples for the sampled suites),
 of `verify --suite bernstein -o` on the finite types B3, C3 and D4, of
 `datum -o` and `verify --suite daha -o` on the other untwisted affine
-types of rank at most 4, and of `nf -o` on a few fixed element files.
+types of rank at most 4, of `nf -o` on a few fixed element files, and of
+`check --level hq -o` on the hand-built element of `test_membership`.
 A refactor of the exact layers must leave every byte of these reports
 unchanged.
 """
@@ -14,8 +15,11 @@ import json
 
 import pytest
 
+from test_membership import _hand_built
 from torushecke.cli import run_cli
-from torushecke.serialize import datum_from_dict, load_json
+from torushecke.rootdata import preset_datum
+from torushecke.scalars import scalar_str
+from torushecke.serialize import datum_from_dict, element_to_dict, load_json
 
 SAMPLES = "6"
 # the suites that read --samples; the others refuse it
@@ -245,3 +249,38 @@ def test_nf_report_bytes_pinned(tmp_path, name, datum, payload):
     out = tmp_path / "nf.json"
     code = run_cli(["nf", "-d", datum, str(path), "-o", str(out)])
     assert (code, _digest(out)) == NF_DIGESTS[name]
+
+
+# datum -> sha256 of the `check --level hq -o` bytes of `_hand_built`
+CHECK_DIGESTS = {
+    "G2": "d75c7767e9e4e26b86ed993ce70cbc8bb78c8e12859d48f814ce9f3dade34b8d",
+    "A2": "88b2f103b156c3056bc4728107f6696fd7f23f4655b3d40bcd9781a5d9ad3c1f",
+}
+
+
+def _in_stored_order(x) -> dict:
+    """``element_to_dict(x)`` with each term's factors in the order its
+    coefficient stores them, not the sorted order of ``RatFunc.factors``.
+
+    A file loads its factors in file order, so on G2 the [1, 2] term lists
+    the q^2 factor on (3, 1) before the q^-2 factor on (1, 0), and the
+    report must still give their "1.3.1" entries in the sorted order.
+    """
+    payload = element_to_dict(x)
+    for term, w in zip(payload["terms"], x.support()):
+        stored = [[list(rep), scalar_str(target)]
+                  for (_dchar, target), (_m, rep) in x.coefficient(w).den.items()]
+        term["den"].sort(key=lambda fac: stored.index(
+            [fac["root"], fac["target"]]))
+    return payload
+
+
+@pytest.mark.parametrize("datum", list(CHECK_DIGESTS))
+def test_check_report_bytes_pinned(tmp_path, datum):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(_in_stored_order(_hand_built(
+        preset_datum(datum)))))
+    out = tmp_path / "check.json"
+    code = run_cli(["check", "-d", datum, "--level", "hq", str(path),
+                    "-o", str(out)])
+    assert (code, _digest(out)) == (1, CHECK_DIGESTS[datum])

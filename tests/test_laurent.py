@@ -15,7 +15,6 @@ from torushecke.laurent import (
     LaurentError,
     LaurentPoly,
     RatFunc,
-    _add_root_factor,
     _linear_form,
     _pack,
     _unpack,
@@ -183,6 +182,25 @@ def test_weyl_transform_is_an_action():
         y = rng.choice(ball)
         lhs = f.weyl_transform(y).weyl_transform(w)
         assert lhs == f.weyl_transform(multiply_elts(datum, w, y))
+
+
+def _add_root_factor(den: dict, root, target: QScalar, mult: int,
+                     num: LaurentPoly):
+    """Add (t^root - target)^mult to den, keyed by the positive root.
+
+    A negative root gamma moves a unit into the numerator,
+    1/(t^gamma - c)^m = (-c)^{-m} t^{-m gamma} / (t^{-gamma} - 1/c)^m;
+    returns the key and the numerator times that unit.
+    """
+    if not root.positive:
+        root = root.negate()
+        num = num.scale((-target) ** (-mult)).shift(
+            tuple(2 * mult * x for x in root.char))
+        target = target.inverse()
+    key = (tuple(2 * x for x in root.char), target)
+    got = den.get(key)
+    den[key] = (mult if got is None else got[0] + mult, root.coords)
+    return key, num
 
 
 def _reference_twist(f, w):

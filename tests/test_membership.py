@@ -309,9 +309,7 @@ def test_lift_matches_the_direct_restriction():
                     for (dchar, target), _ in f.den.items():
                         if target != ONE:
                             continue
-                        # twice: the second call reads the datum's table
                         for _ in range(2):
                             assert _lift(f, g, dchar) == _direct_lift(f, g, dchar)
                         pairs += f.den.keys() != g.den.keys()
         assert pairs > 4
-        assert datum.extra["restricted_factors"]
