@@ -8,7 +8,11 @@ coefficients:
 
 so scalars from Q(q) are central but torus characters are not.
 Conjugation by the Weyl-denominator kernel Delta goes one way,
-x -> Delta^{-1} x Delta, the direction the kernel criterion reads.
+x -> Delta^{-1} x Delta, the direction the kernel criterion reads.  It
+multiplies each [w]-coefficient by ^w(Delta)/Delta, a product over the
+inversion set D(w), which is finite for every w of any Kac-Moody Weyl
+group.  So it never forms Delta, and it is defined on affine data,
+where Delta would be a product over infinitely many positive roots.
 """
 
 from __future__ import annotations
@@ -157,7 +161,9 @@ class AlgebraElement:
         The kernel transforms by a unit ratio under each group term, so
         conjugation multiplies the [w]-coefficient by a closed-form factor
         built from the inversion set of w; no square roots and no actual
-        division are needed.
+        division are needed.  The inversion set is finite on any datum,
+        so affine data are conjugated as finite data are, and Delta is
+        never formed.
         """
         out: dict[WeylElt, RatFunc] = {}
         for w, f in self.terms.items():

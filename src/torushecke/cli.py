@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", _cmd_verify, "run a relation or membership suite")
     p.add_argument("--suite", choices=tuple(VERIFY_SUITES), required=True)
     p.add_argument("--max-length", type=int, default=None,
-                   help="length bound for the braid suite")
+                   help="braid length bound (default: all of W if finite, "
+                        "else max(4, largest finite m_ij))")
     p.add_argument("--samples", type=_positive_int, default=None,
                    help="sample count for the randomized suites")
     p.add_argument("--seed", type=int, default=0)

@@ -725,6 +725,8 @@ class RatFunc:
             return RatFunc(self.datum, self.num.scale(other), self.den)
         if isinstance(other, LaurentPoly):
             other = RatFunc(self.datum, other)
+        elif not isinstance(other, RatFunc):
+            return NotImplemented
         if self.datum is not other.datum:
             raise RootDatumError("mixed root data")
         if self.is_zero() or other.is_zero():

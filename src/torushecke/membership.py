@@ -207,10 +207,18 @@ def delta_criterion(x: AlgebraElement) -> MembershipReport:
     """Decide small-algebra membership through kernel conjugation.
 
     Conjugating by the inverse kernel trades the vanishing conditions for
-    plain big-algebra membership: x is in the small algebra exactly when
-    Delta^{-1} x Delta passes the big-algebra checks.  Finite data only
-    (the kernel is a product over all positive roots).
+    plain big-algebra membership: Delta^{-1} x Delta passes the
+    big-algebra checks exactly when x is in the small algebra, with one
+    exception.  The ratio below cancels a simple pole of f_w on
+    t^gamma = q^2 for gamma in D(w); "1.3.1" refuses that pole in x, but
+    the conjugate can pass.
+
+    Delta itself is never formed.  Conjugation multiplies the
+    [w]-coefficient by ^w(Delta)/Delta, a product over the inversion set
+    D(w) (``conjugate_by_delta_factor``), and D(w) is finite for every w
+    of any Kac-Moody Weyl group (V. Kac, Infinite-dimensional Lie
+    algebras, Lemma 3.11).  So affine data run as finite data do,
+    although their Delta would be a product over infinitely many
+    positive roots.  Relaxed data are refused by ``check_membership``.
     """
-    if x.datum.kind != "finite":
-        raise ValueError("the kernel criterion needs a finite root datum")
     return check_membership(x.conjugate_by_delta(), "htilde")

@@ -20,6 +20,7 @@ from torushecke.rootdata import (
     RootDatumError,
     weyl_ball,
 )
+from torushecke.sampling import random_outlier, random_small_algebra_element
 from torushecke.scalars import QScalar
 
 ONE = QScalar.one()
@@ -116,6 +117,20 @@ def test_apply_to_function_is_module_action():
     assert moved == RatFunc.character(
         datum, tuple(x + y for x, y in zip(datum.simple_roots[0], a2.char))
     )
+
+
+@pytest.mark.parametrize("name", ["A2", "A2aff"])
+def test_function_times_element_multiplies_on_the_left(name):
+    # RatFunc.__mul__ hands an element to AlgebraElement.__rmul__: g (f [w])
+    # = g f [w], with no twist
+    datum = preset_datum(name)
+    rng = random.Random(205)
+    f = RatFunc.character(datum, datum.simple_roots[0], Q).with_den_factor(
+        datum.simple_root_obj(datum.labels[-1]), ONE)
+    for k in range(6):
+        x = (random_outlier(datum, rng) if k % 2
+             else random_small_algebra_element(datum, rng))
+        assert f * x == AlgebraElement.from_function(datum, f) * x
 
 
 def test_conjugate_by_delta_matches_explicit_kernel():

@@ -51,6 +51,8 @@ VERIFY_DIGESTS = {
         "c56cf4c5079f94ff700b329272dfdb07ef9592f92559f851f53b7dc00f370522",
     ("delta-criterion", "A2"):
         "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
+    ("delta-criterion", "A2aff"):
+        "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
     ("delta-criterion", "B2"):
         "5e4c53138ae6c99ab059353155e0b78a59e03c22523b161a523cc3f9f3c4f433",
     ("delta-criterion", "G2"):

@@ -10,11 +10,13 @@ from torushecke.laurent import (LaurentPoly, RatFunc, expand_den_factor,
                                 restrict_to_divisor, vanishes_on_divisor)
 from torushecke.membership import (_lift, _residues_cancel, check_membership,
                                    delta_criterion)
-from torushecke.rootdata import (canonicalize_word, inversion_set,
+from torushecke.rootdata import (CartanMatrix, RootDatumError, build_datum,
+                                 canonicalize_word, inversion_set,
                                  multiply_elts,
                                  positive_real_roots_up_to_height, preset_datum,
                                  reflection_of_root)
-from torushecke.sampling import random_outlier, random_small_algebra_element
+from torushecke.sampling import (random_outlier, random_scalar,
+                                 random_small_algebra_element, random_weight)
 from torushecke.scalars import QScalar, scalar_str
 
 ONE = QScalar.one()
@@ -103,10 +105,59 @@ def test_delta_criterion_agrees_with_direct_check():
             assert delta_criterion(x).ok == check_membership(x, "hq").ok
 
 
-def test_delta_criterion_needs_finite_data():
-    datum = preset_datum("A1aff")
-    with pytest.raises(ValueError):
-        delta_criterion(AlgebraElement.identity(datum))
+def test_delta_criterion_refuses_only_relaxed_data():
+    # the criterion reads ^w(Delta)/Delta over the finite set D(w), so the
+    # full affine realization is accepted; membership refuses the quotient
+    assert delta_criterion(AlgebraElement.identity(preset_datum("A1aff"))).ok
+    with pytest.raises(RootDatumError, match="full realization"):
+        delta_criterion(AlgebraElement.identity(preset_datum("A1aff-der")))
+
+
+# data by Cartan matrix, affine ones with the affine node first
+KERNEL_MATRICES = {
+    "G2aff": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    "A3aff": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1],
+              [-1, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+
+def _targeted_sample(datum, rng, inside):
+    """g [w] plus a small member, at a random w of length 1 to 4.
+
+    g is a monomial times prod (t^gamma - q^-2) over D(w), which vanishes
+    where "1.3.3" asks; outside, one root gamma_0 of D(w) is left out, so
+    exactly one vanishing condition fails.
+    """
+    w = datum.identity
+    while not 1 <= w.length <= 4:
+        w = canonicalize_word(datum, tuple(
+            rng.choice(datum.labels) for _ in range(rng.randint(1, 4))))
+    roots = inversion_set(datum, w)
+    skip = None if inside else rng.randrange(len(roots))
+    g = LaurentPoly.character(datum.rank, random_weight(datum, rng),
+                              random_scalar(rng))
+    for k, gamma in enumerate(roots):
+        if k != skip:
+            g = g * expand_den_factor(
+                datum.rank, tuple(2 * c for c in gamma.char), Q ** -2, 1)
+    return (AlgebraElement.group_term(datum, w, RatFunc(datum, g))
+            + random_small_algebra_element(datum, rng, terms=1, word_len=2))
+
+
+@pytest.mark.parametrize("name", ["A1aff", "A2aff", "G2aff", "A3aff",
+                                  "B2", "D4"])
+def test_delta_criterion_agrees_on_targeted_samples(name):
+    # each sample sits at one vanishing condition of one group term, so a
+    # ratio with a root too few or the two targets swapped is caught
+    datum = (build_datum(CartanMatrix(KERNEL_MATRICES[name]))
+             if name in KERNEL_MATRICES else preset_datum(name))
+    rng = random.Random(211)
+    for k in range(40):
+        inside = k % 2 == 0
+        x = _targeted_sample(datum, rng, inside)
+        assert check_membership(x, "hq").ok == inside
+        assert delta_criterion(x).ok == inside
 
 
 # the pair rule of "1.3.2" against the pair sum it replaces

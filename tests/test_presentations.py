@@ -22,10 +22,13 @@ from torushecke.presentations import (
 )
 import torushecke.presentations as presentations
 from torushecke.demazure import make_sigma, sigma_along_word, sigma_of_element
+from torushecke.membership import check_membership
 from torushecke.rootdata import (
     CartanMatrix,
     all_positive_roots,
     build_datum,
+    canonicalize_word,
+    multiply_elts,
     preset_datum,
     reduced_words,
     weyl_ball,
@@ -137,14 +140,20 @@ def test_braid_suite_relaxed_affine_frozen():
         "3db0160f3134d984546bafefaefffb3a3003412e6c687157f4d2ced43cba6793")
 
 
-def _perturbed(name: str, label: int):
+def _perturbed(name: str, label: int, bare: bool = False):
     """A fresh datum whose cached sigma_label is replaced by sigma_label + q.
     As q is central, relations with m_ij = 2 through the label still hold;
-    those with m_ij = 3 or 4 fail."""
+    those with m_ij = 3, 4 or 6 fail.  With ``bare`` the summand is the bare
+    reflection [s_label] instead, which fails "1.3.3", so the generator
+    leaves the small algebra."""
     datum = _datum(name)
     sigma = make_sigma(datum, label)
-    datum.extra["sigma_gens"][label] = \
-        sigma + AlgebraElement.identity(datum) * QScalar.q_power(1)
+    if bare:
+        extra = AlgebraElement.group_term(
+            datum, canonicalize_word(datum, (label,)))
+    else:
+        extra = AlgebraElement.identity(datum) * QScalar.q_power(1)
+    datum.extra["sigma_gens"][label] = sigma + extra
     return datum
 
 
@@ -180,6 +189,44 @@ def test_braid_suite_matches_per_word_products_with_a_perturbed_generator(
     assert dump_report({"entries": rep.to_list()}) == \
         dump_report({"entries": reference.to_list()})
     assert not rep.ok
+
+
+def test_affine_braid_default_reaches_every_braid_relation():
+    # G2aff has m_12 = 6: a bound of four misses the one relation that the
+    # perturbed generator breaks, and the default bound is six there
+    assert braid_suite(_perturbed("G2aff", 2), 4).ok
+    rep = braid_suite(_perturbed("G2aff", 2))
+    assert [(e.instance, e.status) for e in rep.entries
+            if e.status != "pass"] == [("w=1-2-1-2-1-2", "fail")]
+    assert len(rep.entries) == 29
+
+
+def test_length_additive_suite_reports_a_failure_with_its_witness():
+    datum = _perturbed("A2", 1)
+    rep = length_additive_suite(datum)
+    failed = [e for e in rep.entries if e.status == "fail"]
+    assert [e.instance for e in failed] == ["w=2,y=1-2", "w=2-1,y=2"]
+    for e in failed:
+        w, y = (canonicalize_word(datum, tuple(map(int, part[2:].split("-"))))
+                for part in e.instance.split(","))
+        assert e.witness == sigma_of_element(datum, w) * \
+            sigma_of_element(datum, y) - sigma_of_element(
+                datum, multiply_elts(datum, w, y))
+        assert e.to_dict()["witness"] == element_to_dict(e.witness)
+
+
+@pytest.mark.parametrize("suite", [closure_suite, delta_criterion_suite])
+@pytest.mark.parametrize("name", ["A2", "A2aff"])
+def test_sampled_suites_report_failures_with_their_witness(suite, name):
+    # with sigma_1 + [s_1] as a generator, the samples built as members are
+    # not members: closure products fail, and so do the "(in)" samples of
+    # the conjugation criterion
+    rep = suite(_perturbed(name, 1, bare=True), count=6)
+    failed = [e for e in rep.entries if e.status == "fail"]
+    assert failed and not rep.ok
+    for e in failed:
+        assert not check_membership(e.witness, "hq").ok
+        assert e.to_dict()["witness"] == element_to_dict(e.witness)
 
 
 def test_braid_suite_forms_each_shared_product_once(monkeypatch):
@@ -360,10 +407,9 @@ def _no_sampling(*args, **kwargs):
     raise AssertionError("a sample was drawn before the refusal")
 
 
-@pytest.mark.parametrize("suite", [delta_criterion_suite,
-                                   action_preservation_suite])
+@pytest.mark.parametrize("suite", [action_preservation_suite])
 def test_kernel_suites_refuse_affine_data_before_sampling(suite, monkeypatch):
-    # the kernel Delta is a product over all positive roots, which affine
+    # the ideal half is cut out along every positive root, which affine
     # data do not have finitely many of; the refusal comes first
     import torushecke.presentations as presentations
     monkeypatch.setattr(presentations, "random_small_algebra_element",

@@ -192,7 +192,8 @@ def test_cli_verify_quadratic(tmp_path, capsys):
 def test_cli_verify_mismatches_exit_2(capsys):
     assert run_cli(["verify", "-d", "A2", "--suite", "daha"]) == 2
     assert "affine" in capsys.readouterr().err
-    assert run_cli(["verify", "-d", "A1aff", "--suite", "delta-criterion"]) == 2
+    assert run_cli(["verify", "-d", "A1aff-der", "--suite", "delta-criterion"]) == 2
+    assert "full realization" in capsys.readouterr().err
     assert run_cli(["verify", "-d", "A2", "--suite", "nonsense"]) == 2
     assert run_cli([]) == 2
     assert run_cli(["check", "-d", "A1", "/nonexistent/elt.json"]) == 2
