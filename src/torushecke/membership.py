@@ -109,26 +109,7 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
         raise RootDatumError(
             "membership needs the full realization; the derived quotient has "
             "no null character, so distinct roots share a divisor")
-    violations: list[Violation] = []
-    # "1.3.1": first-order poles, only on t^alpha = 1
-    scan: dict[tuple, tuple] = {}  # root coords -> doubled char
-    overorder: set[tuple] = set()
-    for w, f in x.terms.items():
-        found = []  # (doubled char, str(target), root coords, detail)
-        for (dchar, target), (m, rep) in f.den.items():
-            if target.is_one():
-                scan[rep] = dchar
-                if m == 1:
-                    continue
-                overorder.add(rep)
-                detail = (f"pole of order {m} on t^alpha = 1; only "
-                          "first-order poles are allowed")
-            else:
-                detail = (f"pole on t^alpha = {scalar_str(target)}, which "
-                          "is not a permitted divisor")
-            found.append((dchar, str(target), rep, detail))
-        violations += [Violation("1.3.1", w.word, rep, detail)
-                       for _dchar, _target, rep, detail in sorted(found)]
+    violations, scan, overorder = _pole_scan(x)
     # "1.3.2": pair residues must cancel; meaningless where "1.3.1"
     # already failed at that root, so those roots are skipped
     for coords, dchar in sorted(scan.items()):
@@ -164,6 +145,34 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
                         "1.3.3", w.word, gamma.coords,
                         "coefficient does not vanish on t^gamma = q^-2"))
     return MembershipReport(level, violations, sorted(scan))
+
+
+def _pole_scan(x: AlgebraElement) -> tuple[list[Violation], dict, set]:
+    """Condition "1.3.1" on x: first-order poles, only on t^alpha = 1.
+
+    Returns its violations, the roots with a pole on t^alpha = 1 (root
+    coords -> doubled char) and those among them of higher order.
+    """
+    violations: list[Violation] = []
+    scan: dict[tuple, tuple] = {}
+    overorder: set[tuple] = set()
+    for w, f in x.terms.items():
+        found = []  # (doubled char, str(target), root coords, detail)
+        for (dchar, target), (m, rep) in f.den.items():
+            if target.is_one():
+                scan[rep] = dchar
+                if m == 1:
+                    continue
+                overorder.add(rep)
+                detail = (f"pole of order {m} on t^alpha = 1; only "
+                          "first-order poles are allowed")
+            else:
+                detail = (f"pole on t^alpha = {scalar_str(target)}, which "
+                          "is not a permitted divisor")
+            found.append((dchar, str(target), rep, detail))
+        violations += [Violation("1.3.1", w.word, rep, detail)
+                       for _dchar, _target, rep, detail in sorted(found)]
+    return violations, scan, overorder
 
 
 def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
@@ -207,11 +216,15 @@ def delta_criterion(x: AlgebraElement) -> MembershipReport:
     """Decide small-algebra membership through kernel conjugation.
 
     Conjugating by the inverse kernel trades the vanishing conditions for
-    plain big-algebra membership: Delta^{-1} x Delta passes the
-    big-algebra checks exactly when x is in the small algebra, with one
-    exception.  The ratio below cancels a simple pole of f_w on
-    t^gamma = q^2 for gamma in D(w); "1.3.1" refuses that pole in x, but
-    the conjugate can pass.
+    plain big-algebra membership, once "1.3.1" holds for x itself: the
+    ratio below would otherwise cancel a simple pole of f_w on
+    t^gamma = q^2 for gamma in D(w).  With "1.3.1" holding, the ratio is
+    a regular, nonzero unit along each t^alpha = 1 and is the same on
+    both terms of each residue pair, since s_alpha fixes t^alpha = 1
+    pointwise; so Delta^{-1} x Delta passes the big-algebra checks
+    exactly when x is in the small algebra.  The report lists the
+    "1.3.1" violations of x first, then those of the conjugate, whose
+    roots it scans.
 
     Delta itself is never formed.  Conjugation multiplies the
     [w]-coefficient by ^w(Delta)/Delta, a product over the inversion set
@@ -221,4 +234,6 @@ def delta_criterion(x: AlgebraElement) -> MembershipReport:
     although their Delta would be a product over infinitely many
     positive roots.  Relaxed data are refused by ``check_membership``.
     """
-    return check_membership(x.conjugate_by_delta(), "htilde")
+    report = check_membership(x.conjugate_by_delta(), "htilde")
+    return MembershipReport("htilde", _pole_scan(x)[0] + report.violations,
+                            report.scanned_roots)

@@ -283,14 +283,20 @@ class Root:
 
 
 class WeylElt:
-    """A Weyl group element: canonical reduced word plus root-lattice matrices."""
+    """A Weyl group element: canonical reduced word plus root-lattice matrices.
 
-    __slots__ = ("word", "mat", "matinv")
+    Elements are interned per datum (``RootDatum._intern``) and never
+    change, so the hash of the matrix is computed once.  Equality stays
+    matrix-based: elements of two data with equal matrices compare equal.
+    """
+
+    __slots__ = ("word", "mat", "matinv", "_hash")
 
     def __init__(self, word: Vec, mat: Mat, matinv: Mat):
         self.word = word
         self.mat = mat
         self.matinv = matinv
+        self._hash = hash(mat)
 
     @property
     def length(self) -> int:
@@ -300,7 +306,7 @@ class WeylElt:
         return isinstance(other, WeylElt) and self.mat == other.mat
 
     def __hash__(self):
-        return hash(self.mat)
+        return self._hash
 
     def __repr__(self):
         return f"WeylElt({list(self.word)})"
@@ -322,9 +328,23 @@ class AffineData:
 class RootDatum:
     """Character/cocharacter lattices Z^r with embedded simple roots and coroots.
 
-    Immutable after construction.  Internal memo tables (element
-    interning, Bruhat answers, matrix caches) are only ever appended to,
-    which is safe under CPython's execution model.
+    Immutable after construction.  Its memo tables hold values that
+    depend on the datum alone and are only ever appended to, which is
+    safe under CPython's execution model:
+
+    - ``_elts`` interns elements by root-lattice matrix, so each element
+      exists once per datum;
+    - ``_words`` maps each word tuple ``canonicalize_word`` has read to
+      its element;
+    - ``_mul`` (pairs of elements to their product), ``_invset``
+      (inversion sets) and ``_charmat`` (matrices on characters) are
+      keyed by the interned element, whose hash is computed once;
+    - ``_refl`` and ``_orbits`` are keyed by root coordinates, and
+      ``_posroots`` holds the positive roots of finite data.
+
+    ``extra`` holds the per-datum tables of downstream modules: the
+    sigma generators and words, the twist tables and the sampler's unit
+    words.
     """
 
     def __init__(self, cartan: CartanMatrix, kind: str,
@@ -351,9 +371,10 @@ class RootDatum:
         self.refl_char = tuple(map(_reflection, simple_roots, simple_coroots))
         # caches
         self._elts: dict[Mat, WeylElt] = {}
-        self._mul: dict[tuple[Mat, Mat], WeylElt] = {}
-        self._charmat: dict[Mat, Mat] = {}
-        self._invset: dict[Mat, tuple[Root, ...]] = {}
+        self._words: dict[tuple, WeylElt] = {}
+        self._mul: dict[tuple[WeylElt, WeylElt], WeylElt] = {}
+        self._charmat: dict[WeylElt, Mat] = {}
+        self._invset: dict[WeylElt, tuple[Root, ...]] = {}
         self._refl: dict[Vec, tuple[WeylElt, Vec]] = {}
         self._posroots: tuple[Root, ...] | None = None
         self._orbits: dict[Vec, tuple[Root, ...]] = {}
@@ -526,18 +547,26 @@ def preset_datum(name: str) -> RootDatum:
 
 
 def canonicalize_word(datum: RootDatum, word) -> WeylElt:
-    """The Weyl element of an arbitrary word in generator labels."""
-    mat = _mat_id(datum.n)
-    matinv = mat
-    for lab in word:
-        m = datum.refl_root[datum.pos(lab)]
-        mat = _mat_mul(mat, m)
-        matinv = _mat_mul(m, matinv)
-    return datum._intern(mat, matinv)
+    """The Weyl element of an arbitrary word in generator labels.
+
+    Each word is multiplied out once per datum and kept in its word
+    table; a word with an unknown label raises before anything is kept.
+    """
+    word = tuple(word)
+    elt = datum._words.get(word)
+    if elt is None:
+        mat = _mat_id(datum.n)
+        matinv = mat
+        for lab in word:
+            m = datum.refl_root[datum.pos(lab)]
+            mat = _mat_mul(mat, m)
+            matinv = _mat_mul(m, matinv)
+        elt = datum._words[word] = datum._intern(mat, matinv)
+    return elt
 
 
 def multiply_elts(datum: RootDatum, w: WeylElt, y: WeylElt) -> WeylElt:
-    key = (w.mat, y.mat)
+    key = (w, y)
     out = datum._mul.get(key)
     if out is None:
         out = datum._intern(_mat_mul(w.mat, y.mat), _mat_mul(y.matinv, w.matinv))
@@ -564,7 +593,7 @@ def inversion_set(datum: RootDatum, w: WeylElt) -> tuple[Root, ...]:
     Computed cumulatively along the canonical word: the j-th inversion is
     s_{i_1}...s_{i_{j-1}} applied to alpha_{i_j}.
     """
-    cached = datum._invset.get(w.mat)
+    cached = datum._invset.get(w)
     if cached is not None:
         return cached
     prefix = _mat_id(datum.n)
@@ -575,7 +604,7 @@ def inversion_set(datum: RootDatum, w: WeylElt) -> tuple[Root, ...]:
         roots.append(datum.root_from_coords(coords))
         prefix = _mat_mul(prefix, datum.refl_root[p])
     out = tuple(roots)
-    datum._invset[w.mat] = out
+    datum._invset[w] = out
     return out
 
 
@@ -660,14 +689,14 @@ def highest_root(datum: RootDatum) -> Root:
 
 def char_matrix(datum: RootDatum, w: WeylElt) -> Mat:
     """Matrix of w on the character lattice (s_i: x -> x - <coroot_i, x> root_i)."""
-    cached = datum._charmat.get(w.mat)
+    cached = datum._charmat.get(w)
     if cached is not None:
         return cached
     # w = s_{i_1} ... s_{i_k} acts on column vectors as S_{i_1} @ ... @ S_{i_k}
     m = _mat_id(datum.rank)
     for lab in w.word:
         m = _mat_mul(m, datum.refl_char[datum.pos(lab)])
-    datum._charmat[w.mat] = m
+    datum._charmat[w] = m
     return m
 
 
@@ -740,7 +769,7 @@ def _reflection_data(datum: RootDatum, root: Root) -> tuple[WeylElt, Vec]:
 
 def weyl_ball(datum: RootDatum, max_length: int) -> list[WeylElt]:
     """All elements of length <= max_length, sorted by (length, word)."""
-    seen = {datum.identity.mat: datum.identity}
+    seen = {datum.identity}
     frontier = [datum.identity]
     for _ in range(max_length):
         nxt = []
@@ -748,13 +777,13 @@ def weyl_ball(datum: RootDatum, max_length: int) -> list[WeylElt]:
             for lab in datum.labels:
                 s = canonicalize_word(datum, (lab,))
                 u = multiply_elts(datum, w, s)
-                if u.length == w.length + 1 and u.mat not in seen:
-                    seen[u.mat] = u
+                if u.length == w.length + 1 and u not in seen:
+                    seen.add(u)
                     nxt.append(u)
         frontier = nxt
         if not frontier:
             break
-    return sorted(seen.values(), key=lambda w: (w.length, w.word))
+    return sorted(seen, key=lambda w: (w.length, w.word))
 
 
 def reduced_words(datum: RootDatum, w: WeylElt) -> list[tuple[int, ...]]:

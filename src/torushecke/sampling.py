@@ -7,6 +7,16 @@ rational-function-field coefficients, which stays inside the algebra by
 construction; outliers add the classic reflection-difference element
 with a bare simple pole, which leaves the vanishing conditions broken
 at exactly one group term.
+
+A word is drawn as a tuple of letters, a generator label or a character
+vector each, and multiplied out once per datum, with unit coefficient,
+into the datum's word table ``extra["sample_words"]``.  A sample term is
+that word times its scalar c.  Scalars in Q(q) are central, so
+c (g_1 g_2) = (c g_1) g_2 and the term equals the product chain that
+starts from c.  The draws happen in the same order either way, so the
+samples and the generator state after them do not depend on the table.
+Scaling returns new coefficients, so the table's words are never handed
+out and never collect twist memos.
 """
 
 from __future__ import annotations
@@ -68,18 +78,23 @@ def random_small_algebra_element(datum: RootDatum, rng: random.Random,
                                  word_len: int = 2) -> AlgebraElement:
     """A member of the small algebra: sums of words in sigma_i and t^lambda,
     with character entries in -1..1."""
+    words = datum.extra.setdefault("sample_words", {})
     out = AlgebraElement.zero(datum)
     for _ in range(terms):
-        piece = AlgebraElement.from_function(
-            datum, RatFunc.from_scalar(datum, random_scalar(rng)))
-        for _ in range(rng.randint(1, word_len)):
-            if rng.random() < 0.6:
-                lab = rng.choice(datum.labels)
-                piece = piece * make_sigma(datum, lab)
-            else:
-                lam = random_weight(datum, rng, 1)
-                piece = piece * AlgebraElement.character(datum, lam)
-        out = out + piece
+        c = random_scalar(rng)
+        letters = tuple(
+            rng.choice(datum.labels) if rng.random() < 0.6
+            else random_weight(datum, rng, 1)
+            for _ in range(rng.randint(1, word_len)))
+        word = words.get(letters)
+        if word is None:
+            word = AlgebraElement.identity(datum)
+            for letter in letters:
+                word = word * (AlgebraElement.character(datum, letter)
+                               if isinstance(letter, tuple)
+                               else make_sigma(datum, letter))
+            words[letters] = word
+        out = out + word * c
     return out
 
 

@@ -105,6 +105,27 @@ def test_delta_criterion_agrees_with_direct_check():
             assert delta_criterion(x).ok == check_membership(x, "hq").ok
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A2aff"])
+def test_delta_criterion_checks_the_poles_of_x_itself(name):
+    # (t^alpha_1 - q^-2)/(t^alpha_1 - q^2) [s_1] has a pole off
+    # t^alpha = 1, but the ratio cancels it: the conjugate's coefficient
+    # is the constant -q^-2
+    datum = preset_datum(name)
+    alpha = datum.simple_root_obj(1)
+    num = expand_den_factor(datum.rank, tuple(2 * c for c in alpha.char),
+                            Q ** -2, 1)
+    s1 = canonicalize_word(datum, (1,))
+    x = AlgebraElement.group_term(
+        datum, s1, RatFunc(datum, num).with_den_factor(alpha, Q ** 2))
+    assert check_membership(x.conjugate_by_delta(), "htilde").ok
+    assert not check_membership(x, "hq").ok
+    report = delta_criterion(x)
+    assert report.ok is False
+    first = report.violations[0]
+    assert (first.condition, first.word, first.root) == (
+        "1.3.1", (1,), alpha.coords)
+
+
 def test_delta_criterion_refuses_only_relaxed_data():
     # the criterion reads ^w(Delta)/Delta over the finite set D(w), so the
     # full affine realization is accepted; membership refuses the quotient

@@ -34,7 +34,8 @@ from torushecke.rootdata import (
     weyl_ball,
 )
 from torushecke.scalars import QScalar
-from torushecke.serialize import dump_report, element_to_dict, normal_form_to_dict
+from torushecke.serialize import (dump_report, element_to_dict,
+                                  normal_form_to_dict, ratfunc_to_dict)
 
 
 def _tally(report):
@@ -317,6 +318,15 @@ DELTA_CRITERION_DIGESTS = {
     "G2": "ed943ab3877b285ac03d8216f0a6625c6cb56c8cf43c104e1e14aeac37286713",
     "B3": "c6478aab3e73090402a5d820b0336a105f5e2dbdada59d31091b6db7aa381f00",
     "C3": "895dc355feb38af1f7d9e760765ececfeba87963cfb45394ce919eb83d74dddc",
+    "A2aff": "7f6da809d4173972716f6fa9467541e350526350275442d0f9c17113a703d7ba",
+    "G2aff": "b1092cb4df53101e2c2af83afef8368b5701232ba8548ff614f824de75dbaf8f",
+}
+# the seed-0 operators of action_preservation_suite, the functions they act
+# on, the images its verdicts read, and the verdicts
+ACTION_PRESERVATION_DIGESTS = {
+    "A2": "774dcda265e748beaaa8bd9bb0a209cee14dfaf717885a0f247937c57b76a158",
+    "B2": "4c29d4591e211da5053dcdacf5d9e0583a513da7d8649e950fc64e9ff6671fec",
+    "G2": "5dfb20db5b8f89b2df37ad6d43a0546ed7b5c33c5880ec99ad367648b1ca5a8b",
 }
 
 
@@ -363,6 +373,25 @@ def test_delta_criterion_reports_frozen(name, monkeypatch):
         lambda x, rep: {"sample": element_to_dict(x),
                         "report": rep.to_dict()}) \
         == DELTA_CRITERION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_PRESERVATION_DIGESTS))
+def test_action_preservation_images_frozen(name, monkeypatch):
+    payloads = []
+    inner = AlgebraElement.apply_to_function
+
+    def recording(p, f):
+        image = inner(p, f)
+        payloads.append({"operator": element_to_dict(p),
+                         "function": ratfunc_to_dict(f),
+                         "image": ratfunc_to_dict(image)})
+        return image
+
+    monkeypatch.setattr(AlgebraElement, "apply_to_function", recording)
+    report = action_preservation_suite(preset_datum(name))
+    assert report.ok and payloads
+    payloads.append({"entries": report.to_list()})
+    assert _digest(payloads) == ACTION_PRESERVATION_DIGESTS[name]
 
 
 def test_report_entry_witness_serialization():

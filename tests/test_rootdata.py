@@ -17,6 +17,7 @@ from torushecke.rootdata import (
     bruhat_leq,
     build_datum,
     canonicalize_word,
+    char_matrix,
     classify_cartan,
     coroot_of_root,
     highest_root,
@@ -192,6 +193,47 @@ def test_group_operations_consistency():
             ).length < w.length
         ]
         assert left_descents(datum, w) == naive
+
+
+def test_canonicalize_word_reads_the_word_table():
+    datum = preset_datum("A2")
+    for word in ((1, 2, 1), (2, 1, 2), (1, 1, 2), (2,)):
+        first = canonicalize_word(datum, word)
+        assert canonicalize_word(datum, word) is first
+        assert canonicalize_word(datum, list(word)) is first
+    # equal elements are one interned object, reduced words or not
+    assert canonicalize_word(datum, (1, 2, 1)) is canonicalize_word(
+        datum, (2, 1, 2))
+    assert canonicalize_word(datum, (1, 1, 2)) is canonicalize_word(
+        datum, (2,))
+
+
+def test_canonicalize_word_refuses_an_unknown_label_every_time():
+    datum = preset_datum("A2")
+    canonicalize_word(datum, (1, 2))
+    before = dict(datum._words)
+    for _ in range(2):
+        with pytest.raises(RootDatumError, match="no generator labelled 3"):
+            canonicalize_word(datum, (1, 3))
+    assert datum._words == before
+
+
+@pytest.mark.parametrize("name", ["B2", "A2aff"])
+def test_elements_of_two_data_from_one_preset_agree(name):
+    # the tables are keyed by interned elements, whose equality and hash
+    # stay those of the matrix; each query below sees the other datum's
+    # element first
+    a, b = preset_datum(name), preset_datum(name)
+    ball = weyl_ball(a, 3)
+    for wa in ball:
+        wb = canonicalize_word(b, wa.word)
+        assert wb is not wa and wb == wa and hash(wb) == hash(wa)
+        assert inversion_set(a, wb) == inversion_set(a, wa)
+        assert char_matrix(a, wb) == char_matrix(a, wa)
+        for ya in ball:
+            yb = canonicalize_word(b, ya.word)
+            assert multiply_elts(a, wb, yb) is multiply_elts(a, wa, ya)
+            assert multiply_elts(a, wb, yb) == multiply_elts(b, wb, yb)
 
 
 def test_highest_roots_frozen():
