@@ -10,13 +10,19 @@ building blocks are Jacobi theta series in the nome, from which we get
   chosen order-2 point xi = omega1/2, simple poles at the other two
   order-2 points, and derivative 1 at the origin.
 
-A curve computes its nome, the theta constants and the sn normalization
-once, at construction; the series prefactors 2q^{(n+1/2)^2} and 2q^{n^2}
-are tabulated once per nome and shared by theta_1 (with its derivatives),
-theta_2, theta_3 and theta_4.  Where a series term overflows double
-precision (Im tau from about 75 up to where the nome underflows near 237,
-at points with large Im v) evaluation refuses with ``EllipticError``,
-which the CLI turns into exit code 2.  From about Im tau = 15 the prop46
+A curve computes its nome, the theta constants, the sn normalization,
+the lattice determinant that ``reduce`` reads and ``min_period`` once, at
+construction; the series prefactors 2q^{(n+1/2)^2} and 2q^{n^2} are
+tabulated once per nome and shared by theta_1 (with its derivatives),
+theta_2, theta_3 and theta_4.  The theta_1 series keeps k^j as a running
+exact power and its largest term as a running maximum, but does the
+float operations of the plain term-by-term sum in the same order, so its
+values are the same bits (a test keeps the plain sum as the reference);
+the residue and probe circles read their unit nodes from two tables made
+at import.  Where a series term overflows double precision (Im tau from
+about 75 up to where the nome underflows near 237, at points with large
+Im v) evaluation refuses with ``EllipticError``, which the CLI turns
+into exit code 2.  From about Im tau = 15 the prop46
 probes lose every digit on some circles, and ``verify_prop46`` refuses
 the same way instead of measuring rounding noise.  Above Im tau = 5 the
 braid gap is too small for its fixed bound, and ``check_elliptic``
@@ -31,11 +37,12 @@ divisors and measures deviations against stated tolerances.
 
 A product of operators reads each generator coefficient at many twisted
 points, and prop46 reads each wp^(m)(t - xi) on the contours of two
-elements.  So each suite call keeps one memo per coefficient, sn(c)/sn(x)
-by x and wp^(m)(t - xi) by t, and evaluates each value once; the memos
-go with the call (nothing is kept on the curve or the module, so two
-suites on one curve share nothing).  A point whose evaluation raises is
-not kept.
+elements.  So each suite call keeps one memo of sn by x, read by its
+point sampler and its generators alike, and one memo per coefficient,
+sn(c)/sn(x) by x and wp^(m)(t - xi) by t, and evaluates each value once;
+the memos go with the call (nothing is kept on the curve or the module,
+so two suites on one curve share nothing).  A point whose evaluation
+raises is not kept.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootdata import RootDatum, WeylElt, canonicalize_word, multiply_elts
 
@@ -89,23 +96,34 @@ _NOME_QUARTER_CACHE: Dict[complex, Tuple[List[complex], List[complex]]] = {}
 
 
 def _theta_derivs(v: complex, nome: complex, order: int) -> List[complex]:
-    """theta_1 and its first `order` derivatives at v, by direct series."""
+    """theta_1 and its first `order` derivatives at v, by direct series.
+
+    Term j of summand n is base * k^j * cycle[j mod 4] with k = 2n + 1,
+    k^j an exact int kept as a running power; the sum stops after two
+    summands in a row whose largest term is below 1e-18 of the largest
+    partial sum.
+    """
     odd = _prefactors(nome)[0]
     out = [0j] * (order + 1)
+    orders = range(order + 1)
     tiny_run = 0
     for n in range(_TERMS):
         k = 2 * n + 1
-        base = -odd[n] if n % 2 else odd[n]
-        s = cmath.sin(k * v)
-        c = cmath.cos(k * v)
+        base = -odd[n] if n & 1 else odd[n]
+        kv = k * v
+        s = cmath.sin(kv)
+        c = cmath.cos(kv)
         cycle = (s, c, -s, -c)
         mag = 0.0
-        for j in range(order + 1):
-            term = base * (k ** j) * cycle[j % 4]
+        kj = 1
+        for j in orders:
+            term = base * kj * cycle[j & 3]
             out[j] += term
-            mag = max(mag, abs(term))
-        scale = max(abs(x) for x in out) + 1e-300
-        if mag < 1e-18 * scale:
+            a = abs(term)
+            if a > mag:
+                mag = a
+            kj *= k
+        if mag < 1e-18 * (max(map(abs, out)) + 1e-300):
             tiny_run += 1
             if tiny_run >= 2:
                 return out
@@ -153,6 +171,9 @@ class EllipticCurveParams:
             raise EllipticError("period ratio must be finite")
         if tau.imag <= 0:
             raise EllipticError("period ratio must have positive imaginary part")
+        w1, w2 = self.omega1, self.omega2
+        self._det = w1.real * w2.imag - w1.imag * w2.real
+        self.min_period = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
         # once the nome underflows, every theta constant vanishes and sn
         # cannot be normalized; a nonzero nome has a nonzero q^{1/4}
         self.nome = cmath.exp(1j * math.pi * self.tau)
@@ -196,15 +217,10 @@ class EllipticCurveParams:
         t = self.omega2 / self.omega1
         return complex(t.real - round(t.real), t.imag)
 
-    @property
-    def min_period(self) -> float:
-        w1, w2 = self.omega1, self.omega2
-        return min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-
     def reduce(self, z: complex) -> complex:
         """Representative of z modulo the lattice with small modulus."""
         w1, w2 = self.omega1, self.omega2
-        det = w1.real * w2.imag - w1.imag * w2.real
+        det = self._det
         a = (z.real * w2.imag - z.imag * w2.real) / det
         b = (w1.real * z.imag - w1.imag * z.real) / det
         z0 = z - round(a) * w1 - round(b) * w2
@@ -220,6 +236,10 @@ class EllipticCurveParams:
         return abs(self.reduce(z)) < 1e-9 * self.min_period
 
 
+# C(k, j) for the orders _log_theta_derivs reads: wp^(6) needs order 8
+_BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(8)]
+
+
 def _log_theta_derivs(params: EllipticCurveParams, v: complex,
                       order: int) -> List[complex]:
     """Derivatives d^k/dv^k log theta_1(v) for k = 1..order.
@@ -228,14 +248,16 @@ def _log_theta_derivs(params: EllipticCurveParams, v: complex,
     u = log theta_1, solved upward for the u-derivatives.
     """
     t = _theta_derivs(v, params.nome, order)
-    if abs(t[0]) < 1e-13 * (abs(t[1]) + abs(t[0]) + 1e-300):
+    t0 = t[0]
+    if abs(t0) < 1e-13 * (abs(t[1]) + abs(t0) + 1e-300):
         raise EllipticError("evaluation too close to a lattice point")
     u = [0j] * (order + 1)  # u[k] = u^{(k)}, u[0] unused
     for k in range(1, order + 1):
         acc = t[k]
+        row = _BINOM[k - 1]
         for j in range(1, k):
-            acc -= math.comb(k - 1, j) * u[k - j] * t[j]
-        u[k] = acc / t[0]
+            acc -= row[j] * u[k - j] * t[j]
+        u[k] = acc / t0
     return u
 
 
@@ -331,12 +353,19 @@ class EllipticOperator:
         return dev
 
 
-def _rank_one_pair(params: EllipticCurveParams):
+def _sn_memo(params: EllipticCurveParams) -> Callable[[complex], complex]:
+    """sn by point, each point evaluated once; a point whose evaluation
+    raises is not kept."""
+    return functools.cache(lambda x: eval_elliptic(params, "sn", x))
+
+
+def _rank_one_pair(params: EllipticCurveParams,
+                   sn: Callable[[complex], complex]):
     """The coefficients sn(c)/sn(x) of [1] and 1 - sn(c)/sn(x) of [s],
     with c the additive stand-in for q^-2; both read one memo of the
-    ratio by x, which lives as long as the pair."""
-    sn_c = eval_elliptic(params, "sn", params.q_shift)
-    ratio = functools.cache(lambda x: sn_c / eval_elliptic(params, "sn", x))
+    ratio by x, which lives as long as the pair, over the suite's sn memo."""
+    sn_c = sn(params.q_shift)
+    ratio = functools.cache(lambda x: sn_c / sn(x))
 
     def rest(x):
         return 1.0 - ratio(x)
@@ -344,12 +373,17 @@ def _rank_one_pair(params: EllipticCurveParams):
     return ratio, rest
 
 
-def build_elliptic_sigma(params: EllipticCurveParams,
-                         datum: RootDatum) -> List[EllipticOperator]:
-    """One generator per node: (sn(c)/sn(x_i))[1] + (1 - sn(c)/sn(x_i))[s_i]."""
+def build_elliptic_sigma(params: EllipticCurveParams, datum: RootDatum,
+                         sn: Optional[Callable[[complex], complex]] = None
+                         ) -> List[EllipticOperator]:
+    """One generator per node: (sn(c)/sn(x_i))[1] + (1 - sn(c)/sn(x_i))[s_i].
+
+    sn is the calling suite's memo of sn by point, which its sampler
+    reads too; a fresh one by default.
+    """
     if datum.kind != "finite" or datum.n > 2:
         raise EllipticError("elliptic generators are built for finite rank <= 2")
-    ratio, rest = _rank_one_pair(params)
+    ratio, rest = _rank_one_pair(params, sn or _sn_memo(params))
     out = []
     for lab in datum.labels:
         i = datum.pos(lab)
@@ -390,7 +424,8 @@ class NumericReport:
 
 
 def _sample_point(params: EllipticCurveParams, datum: RootDatum,
-                  rng: random.Random) -> Tuple[complex, ...]:
+                  rng: random.Random,
+                  sn: Callable[[complex], complex]) -> Tuple[complex, ...]:
     """A point of the product torus with every coordinate off the
     divisors where the generator coefficients blow up or vanish."""
     sn_unit = abs(params.sn_scale)
@@ -402,7 +437,7 @@ def _sample_point(params: EllipticCurveParams, datum: RootDatum,
             b = rng.uniform(-0.45, 0.45)
             x = a * params.omega1 + b * params.omega2
             try:
-                s = eval_elliptic(params, "sn", x)
+                s = sn(x)
             except EllipticError:
                 ok = False
                 break
@@ -423,12 +458,14 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
                    tol: float = 1e-9) -> NumericReport:
     """Involution of each generator, or failure of the braid identity."""
     rng = random.Random(seed)
-    sigmas = build_elliptic_sigma(params, datum)
+    sn = _sn_memo(params)
+    sigmas = build_elliptic_sigma(params, datum, sn)
 
     def worst(a: EllipticOperator, b: EllipticOperator) -> float:
         dev = 0.0
         for _ in range(samples):
-            dev = max(dev, a.deviation_from(b, _sample_point(params, datum, rng)))
+            pt = _sample_point(params, datum, rng, sn)
+            dev = max(dev, a.deviation_from(b, pt))
         return dev
 
     if suite == "involution":
@@ -445,7 +482,7 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
         im_tau = params.tau.imag
         if im_tau > _BRAID_IM_TAU_MAX:
             # a torus too thin to sample at all is refused for that first
-            _sample_point(params, datum, rng)
+            _sample_point(params, datum, rng, sn)
             raise EllipticError(
                 f"braid-failure needs Im tau <= {_BRAID_IM_TAU_MAX:g}, got "
                 f"Im tau = {im_tau:g}: the braid gap shrinks about 4x per "
@@ -465,6 +502,9 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
 
 _NODES = 256  # trapezoid nodes on a residue circle
 _PROBES = 6  # probe points per function in the bounded-off-divisors check
+# exp(2 pi i k / N) on the unit circle, for the residue and probe circles
+_RESIDUE_NODES = [cmath.exp(2j * math.pi * k / _NODES) for k in range(_NODES)]
+_PROBE_NODES = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
 
 
 def _contour_residue(params: EllipticCurveParams,
@@ -476,8 +516,8 @@ def _contour_residue(params: EllipticCurveParams,
         try:
             vals = []
             blew_up = False
-            for k in range(_NODES):
-                zk = radius * cmath.exp(2j * math.pi * k / _NODES)
+            for node in _RESIDUE_NODES:
+                zk = radius * node
                 val = f(zk)
                 if abs(val) > 1e12:
                     blew_up = True
@@ -520,8 +560,7 @@ def _bounded_off_divisors(params: EllipticCurveParams,
                 break
         maxima = []
         for r in (r0, r0 / 2, r0 / 4):
-            vals = [abs(f(p + r * cmath.exp(2j * math.pi * k / 16)))
-                    for k in range(16)]
+            vals = [abs(f(p + r * node)) for node in _PROBE_NODES]
             maxima.append(max(vals))
         circles.extend(maxima)
         worst = max(worst, maxima[-1] / (maxima[0] + 1e-30))
@@ -548,7 +587,7 @@ def verify_prop46(params: EllipticCurveParams, m_max: int = 6,
 
     elements: List[Tuple[str, Callable, Callable]] = [
         ("[1]", lambda t: 1.0 + 0j, zero),
-        ("sigma", *_rank_one_pair(params)),
+        ("sigma", *_rank_one_pair(params, _sn_memo(params))),
     ]
     for m in range(m_max + 1):
         # one memo per order, shared by the [1] and [s] elements: their
