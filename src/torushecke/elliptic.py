@@ -51,7 +51,6 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootdata import RootDatum, WeylElt, canonicalize_word, multiply_elts
@@ -147,23 +146,28 @@ def _theta_even(v: complex, nome: complex, kind: int) -> complex:
     raise EllipticError("theta series failed to converge")
 
 
-@dataclass
 class EllipticCurveParams:
     """Periods of the lattice, the marked order-2 point, and the shift
-    point whose double plays the role of q^-2 on the curve."""
+    point whose double plays the role of q^-2 on the curve.
 
-    omega1: complex
-    omega2: complex
-    q_point: complex
+    A curve is read-only: its nome, theta constants and sn normalization
+    are fixed at construction, so assigning to any attribute raises
+    ``AttributeError``.  Curves compare by their three fields and are
+    unhashable.
+    """
 
-    def __post_init__(self):
-        self.omega1 = complex(self.omega1)
-        self.omega2 = complex(self.omega2)
-        self.q_point = complex(self.q_point)
-        for name in ("omega1", "omega2", "q_point"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise EllipticError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+    __slots__ = ("omega1", "omega2", "q_point", "_det", "min_period", "nome",
+                 "th1p", "th1ppp", "th2_0", "th3_0", "th4_0", "sn_scale")
+    __hash__ = None
+
+    def __init__(self, omega1: complex, omega2: complex, q_point: complex):
+        put = object.__setattr__
+        fields = {"omega1": complex(omega1), "omega2": complex(omega2),
+                  "q_point": complex(q_point)}
+        for name, value in fields.items():
+            if not cmath.isfinite(value):
+                raise EllipticError(f"{name} must be finite, got {value}")
+            put(self, name, value)
         if self.omega1 == 0:
             raise EllipticError("omega1 must be nonzero")
         tau = self.omega2 / self.omega1
@@ -172,36 +176,56 @@ class EllipticCurveParams:
         if tau.imag <= 0:
             raise EllipticError("period ratio must have positive imaginary part")
         w1, w2 = self.omega1, self.omega2
-        self._det = w1.real * w2.imag - w1.imag * w2.real
-        self.min_period = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
+        put(self, "_det", w1.real * w2.imag - w1.imag * w2.real)
+        put(self, "min_period",
+            min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2)))
         # once the nome underflows, every theta constant vanishes and sn
         # cannot be normalized; a nonzero nome has a nonzero q^{1/4}
-        self.nome = cmath.exp(1j * math.pi * self.tau)
-        if self.nome == 0:
+        nome = cmath.exp(1j * math.pi * self.tau)
+        if nome == 0:
             raise EllipticError(
                 f"period ratio {tau} has too large an imaginary part: "
                 "the nome exp(i*pi*tau) underflows to 0")
         # as |nome| nears 1 theta_4(0) sinks below the rounding error of
         # its O(1) terms: against mpmath, sn is off by 1e-15 at |nome|
         # 0.73, 1e-12 at 0.85 and 1e-8 at 0.91, and sn_scale by 36% at 0.94
-        if abs(self.nome) > _NOME_MAX:
+        if abs(nome) > _NOME_MAX:
             raise EllipticError(
                 "period ratio too close to the real axis: "
-                f"Im tau = {tau.imag:g} gives |nome| = {abs(self.nome):.4f}, "
+                f"Im tau = {tau.imag:g} gives |nome| = {abs(nome):.4f}, "
                 f"above {_NOME_MAX}, where the theta constants lose double "
                 "precision")
+        put(self, "nome", nome)
         if self._near_lattice(2 * self.q_point):
             raise EllipticError("2*q_point lies on the lattice")
         c = self.q_shift
         if self._near_lattice(c) or self._near_lattice(c - self.xi):
             raise EllipticError("-2*q_point sits on a removed divisor")
-        t0 = _theta_derivs(0j, self.nome, 3)
-        self.th1p, self.th1ppp = t0[1], t0[3]
-        self.th2_0 = _theta_even(0j, self.nome, 2)
-        self.th3_0 = _theta_even(0j, self.nome, 3)
-        self.th4_0 = _theta_even(0j, self.nome, 4)
-        self.sn_scale = (self.omega1 * self.th3_0 * self.th4_0
-                         / (math.pi * self.th1p * self.th2_0))
+        t0 = _theta_derivs(0j, nome, 3)
+        put(self, "th1p", t0[1])
+        put(self, "th1ppp", t0[3])
+        for kind in (2, 3, 4):
+            put(self, f"th{kind}_0", _theta_even(0j, nome, kind))
+        put(self, "sn_scale", self.omega1 * self.th3_0 * self.th4_0
+            / (math.pi * self.th1p * self.th2_0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"EllipticCurveParams is read-only: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"EllipticCurveParams is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.omega1, self.omega2, self.q_point)
+                == (other.omega1, other.omega2, other.q_point))
+
+    def __repr__(self) -> str:
+        return (f"EllipticCurveParams(omega1={self.omega1!r}, "
+                f"omega2={self.omega2!r}, q_point={self.q_point!r})")
 
     @property
     def xi(self) -> complex:
@@ -393,13 +417,29 @@ def build_elliptic_sigma(params: EllipticCurveParams, datum: RootDatum,
     return out
 
 
-@dataclass
 class NumericEntry:
-    element: str
-    check: str
-    value: float
-    bound: float
-    status: str
+    __slots__ = ("element", "check", "value", "bound", "status")
+    __hash__ = None
+
+    def __init__(self, element: str, check: str, value: float, bound: float,
+                 status: str):
+        self.element = element
+        self.check = check
+        self.value = value
+        self.bound = bound
+        self.status = status
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.element, self.check, self.value, self.bound, self.status)
+                == (other.element, other.check, other.value, other.bound,
+                    other.status))
+
+    def __repr__(self) -> str:
+        return (f"NumericEntry(element={self.element!r}, check={self.check!r}, "
+                f"value={self.value!r}, bound={self.bound!r}, "
+                f"status={self.status!r})")
 
     def to_dict(self) -> dict:
         return {"element": self.element, "check": self.check,

@@ -11,7 +11,6 @@ this normalization.  A report is ok when nothing failed outright.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraElement
@@ -31,12 +30,30 @@ _QINV = QScalar.q_power(-1)
 _ONE = QScalar.one()
 
 
-@dataclass
 class ReportEntry:
-    relation: str
-    instance: str
-    status: str
-    witness: Optional[AlgebraElement] = field(default=None, repr=False)
+    """One checked instance of a relation; the witness of a failure is left
+    out of the repr."""
+
+    __slots__ = ("relation", "instance", "status", "witness")
+    __hash__ = None
+
+    def __init__(self, relation: str, instance: str, status: str,
+                 witness: Optional[AlgebraElement] = None):
+        self.relation = relation
+        self.instance = instance
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.relation, self.instance, self.status, self.witness)
+                == (other.relation, other.instance, other.status,
+                    other.witness))
+
+    def __repr__(self) -> str:
+        return (f"ReportEntry(relation={self.relation!r}, "
+                f"instance={self.instance!r}, status={self.status!r})")
 
     def to_dict(self) -> dict:
         out = {"relation": self.relation, "instance": self.instance,

@@ -28,7 +28,6 @@ affine data, matching the usual numbering of the extended diagram.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "CartanMatrixError",
@@ -100,33 +99,36 @@ def _reflection(u: Vec, v: Vec) -> Mat:
                  for k, uk in enumerate(u))
 
 
-def _eliminate(entries) -> tuple[list[list[Fraction]], list[tuple[int, int]]]:
-    """Gauss-Jordan elimination over Q of an integer matrix.
+def _eliminate(entries) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Fraction-free (Bareiss) elimination over Z of an integer matrix.
 
     Column by column, the first row not yet used with a nonzero entry
-    becomes the pivot row and clears that column from every other row;
-    rows are never exchanged.  Returns the reduced rows and the (row,
-    column) of each pivot in column order.  The rank is the number of
-    pivots, and a kernel vector is read from the reduced rows.  While the
-    pivots sit on the diagonal, row operations keep each leading minor, so
-    the k-th leading minor is the product of the first k pivots.
+    becomes the pivot row and clears that column from every row not yet
+    used; rows are never exchanged.  Each step scales those rows by the
+    pivot and divides exactly by the previous pivot, so every entry stays
+    an integer minor.  Returns the rows and the (row, column) of each
+    pivot in column order; the rank is the number of pivots.  The m-th
+    pivot is the minor on the first m pivot rows and columns, so while
+    the pivots sit on the diagonal the k-th is the k-th leading minor.
     """
-    rows = [[Fraction(x) for x in row] for row in entries]
+    rows = [[int(x) for x in row] for row in entries]
     pivots: list[tuple[int, int]] = []
-    used: set[int] = set()
+    free = list(range(len(rows)))
+    prev = 1
     for col in range(len(rows[0]) if rows else 0):
-        r = next((i for i, row in enumerate(rows)
-                  if i not in used and row[col]), None)
+        r = next((i for i in free if rows[i][col]), None)
         if r is None:
             continue
-        used.add(r)
+        free.remove(r)
         pivots.append((r, col))
         prow = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = row[col] / prow[col]
-                for j in range(col, len(row)):
-                    row[j] -= f * prow[j]
+        p = prow[col]
+        for i in free:
+            row = rows[i]
+            f = row[col]
+            for j in range(col, len(row)):
+                row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
     return rows, pivots
 
 
@@ -157,25 +159,28 @@ class CartanMatrix:
 
     def _check_symmetrizable(self) -> None:
         """Raise unless positive d_i with d_i a_ij = d_j a_ji exist; they are
-        sought by graph propagation."""
+        sought by graph propagation, each d_i a pair (num, den) of positive
+        integers, and pairs compare by cross-multiplication."""
         n = self.n
         a = self.entries
-        d: list[Fraction | None] = [None] * n
+        d: list[tuple[int, int] | None] = [None] * n
         for start in range(n):
             if d[start] is not None:
                 continue
-            d[start] = Fraction(1)
+            d[start] = (1, 1)
             stack = [start]
             while stack:
                 i = stack.pop()
+                num, den = d[i]
                 for j in range(n):
                     if i == j or a[i][j] == 0:
                         continue
-                    val = d[i] * Fraction(a[i][j], a[j][i])
+                    # a_ij and a_ji are both negative here
+                    val = (num * -a[i][j], den * -a[j][i])
                     if d[j] is None:
                         d[j] = val
                         stack.append(j)
-                    elif d[j] != val:
+                    elif d[j][0] * val[1] != val[0] * d[j][1]:
                         raise CartanMatrixError("matrix is not symmetrizable")
 
     def submatrix(self, keep: list[int]) -> "CartanMatrix":
@@ -203,7 +208,8 @@ def _leading_minors_positive(A: CartanMatrix) -> bool:
     # With B = diag(d) A symmetric and d > 0, A's leading minors carry the
     # same signs as B's, so this is Sylvester's criterion for the
     # symmetrized form.  The minors are all positive exactly when every
-    # pivot lies on the diagonal and is positive.
+    # pivot lies on the diagonal and is positive, since the k-th diagonal
+    # pivot is the k-th leading minor.
     rows, pivots = _eliminate(A.entries)
     return pivots == [(k, k) for k in range(A.n)] and all(
         rows[k][k] > 0 for k in range(A.n))

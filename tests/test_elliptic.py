@@ -396,3 +396,69 @@ def test_report_bytes_pinned(lattice):
                             "entries": rep.to_list()})
         assert hashlib.sha256(text.encode()).hexdigest() \
             == _REPORT_SHA256[lattice, suite], suite
+
+
+def test_numeric_entry_constructors_repr_and_equality():
+    positional = elliptic.NumericEntry("wp", "residue-sum", 1.5, 2.0, "pass")
+    keyword = elliptic.NumericEntry(element="wp", check="residue-sum",
+                                    value=1.5, bound=2.0, status="pass")
+    assert positional == keyword
+    assert positional != elliptic.NumericEntry("wp", "residue-sum", 1.5, 2.0,
+                                               "fail")
+    assert repr(positional) == (
+        "NumericEntry(element='wp', check='residue-sum', value=1.5, "
+        "bound=2.0, status='pass')")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(positional)
+
+
+def test_params_constructors_repr_and_equality():
+    params = EllipticCurveParams(omega1=1.0, omega2=1j, q_point=0.23 + 0.11j)
+    assert params == _params(SQUARE)
+    assert params != _params(SKEW)
+    assert (params.omega1, params.omega2, params.q_point) == (
+        1 + 0j, 1j, 0.23 + 0.11j)
+    assert repr(params) == (
+        "EllipticCurveParams(omega1=(1+0j), omega2=1j, q_point=(0.23+0.11j))")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(params)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((float("nan"), 1j, 0.23), r"omega1 must be finite, got \(nan\+0j\)"),
+    ((1.0, complex(0, float("inf")), 0.23), "omega2 must be finite, got infj"),
+    ((1.0, 1j, float("nan")), r"q_point must be finite, got \(nan\+0j\)"),
+    ((0.0, 1j, 0.23), "omega1 must be nonzero"),
+    ((5e-324, 1j, 0.23), "period ratio must be finite"),
+    ((1.0, 1.0 - 1j, 0.23), "period ratio must have positive imaginary part"),
+    ((1.0, 1e10j, 0.23), "period ratio 10000000000j has too large an "
+     r"imaginary part: the nome exp\(i\*pi\*tau\) underflows to 0"),
+    ((1.0, 0.09j, 0.23), "period ratio too close to the real axis: "
+     r"Im tau = 0.09 gives \|nome\| = 0.7537, above 0.75, where the theta "
+     "constants lose double precision"),
+    ((1.0, 1j, 0.5), r"2\*q_point lies on the lattice"),
+    ((1.0, 1j, -0.25), r"-2\*q_point sits on a removed divisor"),
+], ids=["nan-omega1", "inf-omega2", "nan-q", "zero-omega1", "infinite-ratio",
+        "lower-half-plane", "nome-underflow", "nome-near-1", "2q-on-lattice",
+        "shift-on-divisor"])
+def test_params_refusal_messages(args, message):
+    with pytest.raises(EllipticError, match=f"^{message}$"):
+        EllipticCurveParams(*args)
+
+
+def test_params_are_read_only():
+    # a curve fixes its nome and theta constants at construction, so an
+    # assignment would leave them describing the old lattice
+    p = EllipticCurveParams(1.0, 1j, 0.23 + 0.11j)
+    with pytest.raises(AttributeError):
+        p.omega2 = 2j
+    assert p == EllipticCurveParams(1.0, 1j, 0.23 + 0.11j)
+    assert p != EllipticCurveParams(1.0, 2j, 0.23 + 0.11j)
+    assert eval_elliptic(p, 'wp', 0.3 + 0.2j) == eval_elliptic(
+        EllipticCurveParams(1.0, 1j, 0.23 + 0.11j), 'wp', 0.3 + 0.2j)
+    for name in ("omega1", "q_point", "nome", "sn_scale", "min_period",
+                 "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1.0)
+    with pytest.raises(AttributeError):
+        del p.nome

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used there or re-exported, and
-package modules import each other at module level only."""
+"""Every name a package module imports is used there or re-exported,
+package modules import each other at module level only, and importing the
+package loads no heavy stdlib module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,19 @@ def test_scan_sees_an_unused_import():
         "a (line 2)", "os (line 1)"]
     assert _unused_imports(
         "from x import a\n__all__ = ['a']\n") == []
+
+
+# stdlib modules the package does without: dataclasses pulls in inspect,
+# ast, dis and tokenize, and fractions pulls in decimal and numbers
+HEAVY = ("dataclasses", "fractions", "decimal", "inspect", "ast", "numbers")
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # -S keeps site (and whatever .pth files import) out of the count
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+             "import torushecke; "
+             f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

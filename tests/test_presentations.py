@@ -459,3 +459,22 @@ def test_length_additive_products_collapse():
     rep = length_additive_suite(preset_datum("G2"))
     assert rep.ok
     assert all(e.relation == "5.2.2" for e in rep.entries)
+
+
+def test_report_entry_constructors_repr_and_equality():
+    witness = AlgebraElement.identity(preset_datum("A1"))
+    positional = ReportEntry("braid", "s1", "fail", witness)
+    keyword = ReportEntry(relation="braid", instance="s1", status="fail",
+                          witness=witness)
+    assert (positional.relation, positional.instance, positional.status,
+            positional.witness) == ("braid", "s1", "fail", witness)
+    assert ReportEntry("braid", "s1", "pass").witness is None
+    # the witness stays out of the repr
+    assert repr(positional) == (
+        "ReportEntry(relation='braid', instance='s1', status='fail')")
+    assert positional == keyword
+    assert positional != ReportEntry("braid", "s1", "fail")
+    assert positional != ReportEntry("braid", "s2", "fail", witness)
+    assert ReportEntry("a", "b", "pass") != ("a", "b", "pass", None)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(positional)

@@ -6,13 +6,17 @@ The library's recursions must agree with them on whole groups.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from torushecke.rootdata import (
     CartanMatrix,
     CartanMatrixError,
+    PRESET_MATRICES,
     RootDatumError,
+    _eliminate,
     all_positive_roots,
     bruhat_leq,
     build_datum,
@@ -89,7 +93,7 @@ def test_classify_cartan_g2_affine_marks():
     assert datum.affine.comarks == (1, 2, 1)
 
 
-@pytest.mark.parametrize("entries, message", [
+REFUSALS = [
     # G2aff with the short and long ends swapped: node 0 is not affine
     ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not a standard"),
     ([[2, -4], [-1, 2]], "not a standard"),  # twisted A2^(2)
@@ -97,12 +101,125 @@ def test_classify_cartan_g2_affine_marks():
     ([[2, -3], [-3, 2]], "neither finite nor affine"),  # hyperbolic
     ([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], "must be connected"),
     ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
-], ids=["G2aff-swapped", "A2-twisted", "D3-twisted", "hyperbolic",
-        "disconnected", "non-symmetrizable"])
+]
+
+
+@pytest.mark.parametrize("entries, message", REFUSALS,
+                         ids=["G2aff-swapped", "A2-twisted", "D3-twisted",
+                              "hyperbolic", "disconnected",
+                              "non-symmetrizable"])
 def test_classify_cartan_rejects(entries, message):
     with pytest.raises(CartanMatrixError, match=message):
         classify_cartan(CartanMatrix(entries))
 
+
+
+def _eliminate_over_q(entries):
+    """Gauss-Jordan elimination over Q, the reference for the integer-only
+    _eliminate: same pivot search, no row exchanges, every other row
+    cleared.  Returns the rows and the pivots in column order."""
+    rows = [[Fraction(x) for x in row] for row in entries]
+    pivots = []
+    used = set()
+    for col in range(len(rows[0]) if rows else 0):
+        r = next((i for i, row in enumerate(rows)
+                  if i not in used and row[col]), None)
+        if r is None:
+            continue
+        used.add(r)
+        pivots.append((r, col))
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col] / prow[col]
+                for j in range(col, len(row)):
+                    row[j] -= f * prow[j]
+    return rows, pivots
+
+
+def _symmetrizable_over_q(a):
+    """d_i with d_i a_ij = d_j a_ji propagated as fractions."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and a[i][j]:
+                    val = d[i] * Fraction(a[i][j], a[j][i])
+                    if d[j] is None:
+                        d[j] = val
+                        stack.append(j)
+                    elif d[j] != val:
+                        return False
+    return True
+
+
+def _elimination_matrices():
+    for name in PRESET_MATRICES:
+        for variant in ("", "-der") if name.endswith("aff") else ("",):
+            datum = preset_datum(name + variant)
+            yield datum.cartan.entries
+            yield datum.simple_roots
+            yield datum.simple_coroots
+    for entries, _ in REFUSALS:
+        yield entries
+        yield [row[1:] for row in entries[1:]]
+    rng = random.Random(24)
+    for _ in range(400):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        # small entries and many zeros, so that rank drops and pivots
+        # leave the diagonal
+        yield [[rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3))
+                for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def test_integer_elimination_matches_elimination_over_q():
+    checked = 0
+    for entries in _elimination_matrices():
+        rows, pivots = _eliminate(entries)
+        q_rows, q_pivots = _eliminate_over_q(entries)
+        assert pivots == q_pivots, entries
+        assert all(type(x) is int for row in rows for x in row)
+        # the m-th pivot is the minor on the first m pivot rows and
+        # columns, the product of the first m pivots over Q
+        minor = Fraction(1)
+        for r, c in q_pivots:
+            minor *= q_rows[r][c]
+            assert rows[r][c] == minor, entries
+        n = len(entries)
+        if n == len(entries[0]):
+            diagonal = pivots == [(k, k) for k in range(n)]
+            assert (diagonal and all(rows[k][k] > 0 for k in range(n))) == (
+                diagonal and all(q_rows[k][k] > 0 for k in range(n)))
+        checked += 1
+    assert checked > 400
+
+
+def test_symmetrizability_matches_the_check_over_q():
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        a = [[2] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    a[i][j] = a[j][i] = 0
+                else:
+                    a[i][j], a[j][i] = rng.randint(-4, -1), rng.randint(-4, -1)
+        try:
+            CartanMatrix(a)
+            ok = True
+        except CartanMatrixError as exc:
+            assert "not symmetrizable" in str(exc)
+            ok = False
+        assert ok == _symmetrizable_over_q(a), a
+    with pytest.raises(CartanMatrixError, match="not symmetrizable"):
+        CartanMatrix([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
 
 def test_group_orders_and_longest_words():
     for name, order, l0 in (("A2", 6, 3), ("B2", 8, 4), ("G2", 12, 6)):
