@@ -37,7 +37,9 @@ factor of t^alpha - c lies in Q(q)[t^(+-alpha')]; a line that holds exactly
 one term of a polynomial therefore proves it prime to t^alpha - c.  That
 lone-line certificate is integer-only: each term is keyed by the point
 of its line at level 0, K - <u0, e> pack(alpha'), so two terms share a
-key exactly when they share a line.  Only products use it, to
+key exactly when they share a line; a polynomial of exactly one term
+holds a lone line for every alpha, and is certified without keying (the
+zero polynomial has none).  Only products use it, to
 cross-cancel: both operands are reduced, so a factor of one denominator
 is tried only if the other numerator has no lone line for it
 (a/b * c/d cancels only through gcd(a, d) and gcd(c, b)).
@@ -53,6 +55,13 @@ division buckets and long-divides every term; it rules out 2 026 of the
 2 328 failing divisions of the A2aff braid suite to length 6.  Both
 the coefficient and ``restrict_to_divisor`` compute each power of c
 once per call.
+
+No caller changes a polynomial once built, so ``expand_den_factor``
+keeps each binomial power (t^alpha - c)^m it expands in a module-level
+table keyed by value, beside ``_UNIMOD_CACHE``, and returns that one
+polynomial to every later caller: a sum over unequal denominators
+expands its missing factors by lookup.  A power past the exponent
+bound raises on every call and is never kept.
 
 On data that are not ``relaxed`` the reduced form is canonical.  Simple
 roots are Z-independent and positive real roots pairwise non-proportional,
@@ -365,6 +374,8 @@ def _has_lone_line(poly: LaurentPoly, dchar: ExpVec) -> bool:
     coordinate, so then gcd(poly, t^alpha - c) = 1.  Each term is keyed
     by its line's point at level 0, e - <u0, e> alpha'.
     """
+    if len(poly._keyed) == 1:
+        return True
     u, r, s, _, _, ap = _linear_form(dchar)
     shared: dict[int, bool] = {}
     for k in poly._keyed:
@@ -494,11 +505,22 @@ def vanishes_on_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     return restrict_to_divisor(poly, alpha_doubled, target).is_zero()
 
 
+# (rank, alpha, c, m) -> (t^alpha - c)^m, shared by every caller
+_BINOMIAL_CACHE: dict[tuple, LaurentPoly] = {}
+
+
 def expand_den_factor(rank: int, char_doubled: ExpVec, target: QScalar,
                       mult: int) -> LaurentPoly:
-    """(t^alpha - c)^mult as an honest Laurent polynomial."""
-    base = LaurentPoly(rank, {tuple(char_doubled): _ONE, (0,) * rank: -target})
-    return base if mult == 1 else base ** mult
+    """(t^alpha - c)^mult as an honest Laurent polynomial, built once per
+    value; a power past the exponent bound raises and is not kept."""
+    key = (rank, tuple(char_doubled), target, mult)
+    out = _BINOMIAL_CACHE.get(key)
+    if out is None:
+        out = LaurentPoly(rank, {key[1]: _ONE, (0,) * rank: -target})
+        if mult != 1:
+            out = out ** mult
+        _BINOMIAL_CACHE[key] = out
+    return out
 
 
 # -- rational functions ----------------------------------------------------

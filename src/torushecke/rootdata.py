@@ -79,14 +79,15 @@ def _mat_id(n: int) -> Mat:
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    bt = list(zip(*b))
+    return tuple([
+        tuple([sum([x * y for x, y in zip(row, col)]) for col in bt])
+        for row in a
+    ])
 
 
 def _mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum([x * y for x, y in zip(row, v)]) for row in a])
 
 
 def _dot(a: Vec, b: Vec) -> int:
@@ -345,6 +346,8 @@ class RootDatum:
     - ``_mul`` (pairs of elements to their product), ``_invset``
       (inversion sets) and ``_charmat`` (matrices on characters) are
       keyed by the interned element, whose hash is computed once;
+    - ``_roots`` interns real roots by simple-root coordinates, so
+      ``root_from_coords`` and ``apply_root_matrix`` build each root once;
     - ``_refl`` and ``_orbits`` are keyed by root coordinates, and
       ``_posroots`` holds the positive roots of finite data.
 
@@ -384,6 +387,7 @@ class RootDatum:
         self._refl: dict[Vec, tuple[WeylElt, Vec]] = {}
         self._posroots: tuple[Root, ...] | None = None
         self._orbits: dict[Vec, tuple[Root, ...]] = {}
+        self._roots: dict[Vec, Root] = {}
         self.extra: dict = {}  # scratch space for downstream modules
         self.identity = WeylElt((), ident, ident)
         self._elts[ident] = self.identity
@@ -422,52 +426,56 @@ class RootDatum:
 
     def simple_root_obj(self, label: int) -> Root:
         i = self.pos(label)
-        coords = tuple(1 if k == i else 0 for k in range(self.n))
-        return Root(coords, self.simple_roots[i])
+        return self.root_from_coords(
+            tuple(1 if k == i else 0 for k in range(self.n)))
 
     def char_of_coords(self, coords: Vec) -> Vec:
-        return tuple(
-            sum(c * v[k] for c, v in zip(coords, self.simple_roots))
+        return tuple([
+            sum([c * v[k] for c, v in zip(coords, self.simple_roots)])
             for k in range(self.rank)
-        )
+        ])
 
     def root_from_coords(self, coords) -> Root:
-        coords = tuple(int(c) for c in coords)
-        return Root(coords, self.char_of_coords(coords))
+        """The interned real root with these simple-root coordinates."""
+        coords = tuple(coords)
+        root = self._roots.get(coords)
+        if root is None:
+            coords = tuple([int(c) for c in coords])
+            root = self._roots.setdefault(
+                coords, Root(coords, self.char_of_coords(coords)))
+        return root
 
     def pairing(self, cochar: Vec, char: Vec) -> int:
         return _dot(cochar, char)
 
     def _intern(self, mat: Mat, matinv: Mat) -> WeylElt:
-        elt = self._elts.get(mat)
-        if elt is None:
-            elt = _extract_canonical(self, mat, matinv)
-            self._elts[mat] = elt
+        """The element of mat, which ``_elts`` does not hold yet; callers
+        look mat up first, so matinv is formed only for a new element."""
+        elt = self._elts[mat] = _extract_canonical(self, mat, matinv)
         return elt
 
     def apply_root_matrix(self, elt: WeylElt, root: Root) -> Root:
-        coords = _mat_vec(elt.mat, root.coords)
-        return Root(coords, self.char_of_coords(coords))
+        return self.root_from_coords(_mat_vec(elt.mat, root.coords))
 
     def __repr__(self):
         return f"RootDatum(kind={self.kind!r}, n={self.n}, rank={self.rank})"
 
 
 def _extract_canonical(datum: RootDatum, mat: Mat, matinv: Mat) -> WeylElt:
-    """Recover the canonical word (smallest left descent first) from matrices."""
+    """Recover the canonical word (smallest left descent first) from the
+    inverse alone: s_p is a left descent of w when column p of w^-1 is
+    nonpositive, and the walk w -> s_p w ends when w^-1 is the identity."""
     n = datum.n
-    ident = _mat_id(n)
+    ident = datum.identity.mat
     word = []
-    m, mi = mat, matinv
-    while m != ident:
+    mi = matinv
+    while mi != ident:
         for p in range(n):
-            col = tuple(mi[k][p] for k in range(n))
-            if all(c <= 0 for c in col):
+            if all(row[p] <= 0 for row in mi):
                 break
         else:  # pragma: no cover - impossible for genuine Weyl matrices
             raise RootDatumError("matrix is not a Weyl group element")
         word.append(datum.labels[p])
-        m = _mat_mul(datum.refl_root[p], m)
         mi = _mat_mul(mi, datum.refl_root[p])
     return WeylElt(tuple(word), mat, matinv)
 
@@ -561,13 +569,18 @@ def canonicalize_word(datum: RootDatum, word) -> WeylElt:
     word = tuple(word)
     elt = datum._words.get(word)
     if elt is None:
-        mat = _mat_id(datum.n)
-        matinv = mat
-        for lab in word:
-            m = datum.refl_root[datum.pos(lab)]
+        refls = [datum.refl_root[datum.pos(lab)] for lab in word]
+        mat = datum.identity.mat
+        for m in refls:
             mat = _mat_mul(mat, m)
-            matinv = _mat_mul(m, matinv)
-        elt = datum._words[word] = datum._intern(mat, matinv)
+        elt = datum._elts.get(mat)
+        if elt is None:
+            # each s_i is an involution, so the inverse is the reversed product
+            matinv = datum.identity.mat
+            for m in refls:
+                matinv = _mat_mul(m, matinv)
+            elt = datum._intern(mat, matinv)
+        datum._words[word] = elt
     return elt
 
 
@@ -575,13 +588,17 @@ def multiply_elts(datum: RootDatum, w: WeylElt, y: WeylElt) -> WeylElt:
     key = (w, y)
     out = datum._mul.get(key)
     if out is None:
-        out = datum._intern(_mat_mul(w.mat, y.mat), _mat_mul(y.matinv, w.matinv))
+        mat = _mat_mul(w.mat, y.mat)
+        out = datum._elts.get(mat)
+        if out is None:
+            out = datum._intern(mat, _mat_mul(y.matinv, w.matinv))
         datum._mul[key] = out
     return out
 
 
 def inverse_elt(datum: RootDatum, w: WeylElt) -> WeylElt:
-    return datum._intern(w.matinv, w.mat)
+    out = datum._elts.get(w.matinv)
+    return datum._intern(w.matinv, w.mat) if out is None else out
 
 
 def left_descents(datum: RootDatum, w: WeylElt) -> list[int]:

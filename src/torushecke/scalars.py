@@ -27,6 +27,10 @@ denominator such as (q-1)/(q+1) does, so each value has one form.  Those
 run the gcd reduction: a primitive polynomial remainder sequence over Z,
 so even that path never leaves integer arithmetic.
 
+A scalar never changes once built, so it keeps its hash, the hash of
+(v, n, d), from the first time it is hashed: a target in Q(q) is hashed
+again at every lookup of a denominator key that holds it.
+
 The read-only ``num`` and ``den`` give the value as a reduced fraction in
 nonnegative powers of q: q^v joins the numerator when v > 0 and the
 denominator when v < 0.
@@ -262,7 +266,8 @@ def _coeffs(x: "QScalar") -> Coeffs:
 class QScalar:
     """An element q^v * n/d of Q(q) in canonical form (see the module docstring)."""
 
-    __slots__ = ("v", "n", "d", "h")
+    # _hash is set by the first hash and read from then on
+    __slots__ = ("v", "n", "d", "h", "_hash")
 
     def __new__(cls, num, den=(1,)):
         num = _trim(num)
@@ -398,7 +403,11 @@ class QScalar:
             self.v == other.v and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.v, self.n, self.d))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.v, self.n, self.d))
+            return h
 
     def __repr__(self):
         return f"QScalar({scalar_str(self)!r})"

@@ -3,8 +3,10 @@
 The sha256 of every `verify -o` report on the data each suite accepts
 among A2, B2, G2 and A2aff (seed 0, six samples for the sampled suites),
 of `verify --suite bernstein -o` on the finite types B3, C3 and D4, of
-`datum -o` and `verify --suite daha -o` on the other untwisted affine
-types of rank at most 4, of `nf -o` on a few fixed element files, and of
+`datum --max-height 20 --max-length 20 -o` on those three (the whole
+group of each), of `datum -d A2aff --max-length 12 -o`, of `datum -o` and
+`verify --suite daha -o` on the other untwisted affine types of rank at
+most 4, of `nf -o` on a few fixed element files, and of
 `check --level hq -o` on the hand-built element of `test_membership`.
 A refactor of the exact layers must leave every byte of these reports
 unchanged.
@@ -87,6 +89,19 @@ FINITE_TYPES = {
     "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
         "9e81354bc6799df56e1e62f3c4b2cc29a1b0d035a09f067ef1391e54440a18d5"),
 }
+
+# name -> sha256 of the `datum --max-height 20 --max-length 20 -o` bytes:
+# every positive root and the canonical word of every element of the
+# group (48, 48 and 192 elements)
+FINITE_DATUM_DIGESTS = {
+    "B3": "a77684411b80a407c0bfdf1a8ad41b328cfe5cd6800b1f9740449943ec94dc69",
+    "C3": "27cf4e56ed53fd63c62cfcabc16384658cd9b842a8f7003bb54d16b542819dde",
+    "D4": "246d4595d9f119cabf4e982f8d7d72d3b993776a7090c03b2a6db5e4bef8b81f",
+}
+
+# sha256 of the `datum -d A2aff --max-length 12 -o` bytes: 235 elements
+A2AFF_BALL_DIGEST = (
+    "fd3e4f117d567ae3b77b10a6aa422e601941f1e2c0e4109c638a5945b0042d70")
 
 # every untwisted affine type of rank <= 4 beyond A1aff and A2aff, in Kac's
 # numbering (Infinite-dimensional Lie algebras, Table Aff 1):
@@ -219,6 +234,25 @@ def test_finite_rank_three_and_four_bernstein_pinned(tmp_path, capsys, name):
                     "-o", str(out)]) == 0
     capsys.readouterr()
     assert _digest(out) == digest
+
+
+@pytest.mark.parametrize("name", list(FINITE_DATUM_DIGESTS))
+def test_finite_rank_three_and_four_whole_groups_pinned(tmp_path, name):
+    entries, _digest_bernstein = FINITE_TYPES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"cartan": entries}))
+    out = tmp_path / "datum.json"
+    assert run_cli(["datum", "-d", str(path), "--max-height", "20",
+                    "--max-length", "20", "-o", str(out)]) == 0
+    assert _digest(out) == FINITE_DATUM_DIGESTS[name]
+
+
+def test_a2aff_ball_pinned(tmp_path):
+    out = tmp_path / "datum.json"
+    assert run_cli(["datum", "-d", "A2aff", "--max-length", "12",
+                    "-o", str(out)]) == 0
+    assert len(json.loads(out.read_text())["weyl_ball"]) == 235
+    assert _digest(out) == A2AFF_BALL_DIGEST
 
 
 @pytest.mark.parametrize("name", list(AFFINE_TYPES))

@@ -9,12 +9,14 @@ import random
 
 import pytest
 
+from torushecke import laurent
 from torushecke.laurent import (
     _HALF,
     _MASK,
     LaurentError,
     LaurentPoly,
     RatFunc,
+    _has_lone_line,
     _linear_form,
     _pack,
     _unpack,
@@ -34,6 +36,7 @@ from torushecke.rootdata import (
     preset_datum,
     weyl_ball,
 )
+from torushecke.presentations import closure_suite
 from torushecke.scalars import QScalar
 
 ONE = QScalar.one()
@@ -342,9 +345,65 @@ def test_power_refused_past_the_bound():
     assert (base ** 65).term_count() == 66
     with pytest.raises(LaurentError, match="power 66"):
         base ** 66
-    with pytest.raises(LaurentError, match="power"):
-        expand_den_factor(1, (1000,), ONE, 66)
+    # refused on every call, and never kept as a shared binomial
+    for _ in range(2):
+        with pytest.raises(LaurentError, match="power"):
+            expand_den_factor(1, (1000,), ONE, 66)
+    assert (1, (1000,), ONE, 66) not in laurent._BINOMIAL_CACHE
     assert LaurentPoly.zero(2) ** 3 == LaurentPoly.zero(2)
+
+
+def _fresh_binomial(rank, dchar, target, mult):
+    """(t^alpha - c)^mult expanded afresh, one factor at a time."""
+    base = LaurentPoly(rank, {tuple(dchar): ONE, (0,) * rank: -target})
+    out = LaurentPoly.one(rank)
+    for _ in range(mult):
+        out = out * base
+    return out
+
+
+def test_shared_binomials_equal_a_fresh_expansion():
+    for name in ("A2", "B2", "G2", "A2aff"):
+        datum = preset_datum(name)
+        for root in positive_real_roots_up_to_height(datum, 3):
+            dchar = tuple(2 * x for x in root.char)
+            for target in TARGETS + (Q + ONE,):
+                for mult in (1, 2, 3):
+                    got = expand_den_factor(datum.rank, dchar, target, mult)
+                    assert got == _fresh_binomial(datum.rank, dchar, target,
+                                                  mult)
+                    # one polynomial per value, for a list key as well
+                    assert expand_den_factor(datum.rank, list(dchar),
+                                             target, mult) is got
+
+
+def test_closure_suites_leave_shared_binomials_unchanged():
+    seen = {}
+    for name in ("A2", "B2"):
+        for seed in (0, 1):
+            assert closure_suite(preset_datum(name), count=25, seed=seed).ok
+            # every binomial kept so far is still the one first handed out,
+            # with the terms it had then
+            for key, poly in seen.items():
+                assert laurent._BINOMIAL_CACHE[key] is poly[0]
+                assert poly[0]._keyed == poly[1]
+            seen.update((key, (poly, dict(poly._keyed)))
+                        for key, poly in laurent._BINOMIAL_CACHE.items())
+    assert seen
+    for (rank, dchar, target, mult), (poly, _terms) in seen.items():
+        assert poly == _fresh_binomial(rank, dchar, target, mult)
+
+
+def test_one_term_has_a_lone_line_and_zero_has_none():
+    datum = preset_datum("G2")
+    rng = random.Random(11)
+    for root in all_positive_roots(datum):
+        dchar = tuple(2 * x for x in root.char)
+        for _ in range(5):
+            exp = tuple(rng.randint(-6, 6) for _ in range(datum.rank))
+            assert _has_lone_line(LaurentPoly.monomial(datum.rank, exp,
+                                                       Q ** 2), dchar)
+        assert not _has_lone_line(LaurentPoly.zero(datum.rank), dchar)
 
 
 def _u0(form, rank):

@@ -353,6 +353,137 @@ def test_elements_of_two_data_from_one_preset_agree(name):
             assert multiply_elts(a, wb, yb) == multiply_elts(b, wb, yb)
 
 
+# A reference Weyl layer: every matrix product is formed afresh, the
+# canonical walk reads the matrix and its inverse, and nothing is looked
+# up in the datum's tables.  Each returns the triple (canonical word,
+# matrix, inverse matrix).
+
+def _ref_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def _ref_ident(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _ref_extract_canonical(datum, mat, matinv):
+    n = datum.n
+    ident = _ref_ident(n)
+    word = []
+    m, mi = mat, matinv
+    while m != ident:
+        for p in range(n):
+            col = tuple(mi[k][p] for k in range(n))
+            if all(c <= 0 for c in col):
+                break
+        else:
+            raise AssertionError("matrix is not a Weyl group element")
+        word.append(datum.labels[p])
+        m = _ref_mat_mul(datum.refl_root[p], m)
+        mi = _ref_mat_mul(mi, datum.refl_root[p])
+    return tuple(word), mat, matinv
+
+
+def _ref_canonicalize_word(datum, word):
+    mat = matinv = _ref_ident(datum.n)
+    for lab in word:
+        m = datum.refl_root[datum.pos(lab)]
+        mat = _ref_mat_mul(mat, m)
+        matinv = _ref_mat_mul(m, matinv)
+    return _ref_extract_canonical(datum, mat, matinv)
+
+
+def _ref_multiply_elts(datum, w, y):
+    return _ref_extract_canonical(datum, _ref_mat_mul(w[1], y[1]),
+                                  _ref_mat_mul(y[2], w[2]))
+
+
+def _ref_ball(datum, max_length):
+    """The reference ball: (word, mat, matinv) triples by breadth-first
+    search over right multiplication by the simple reflections."""
+    gens = [_ref_canonicalize_word(datum, (lab,)) for lab in datum.labels]
+    ident = _ref_canonicalize_word(datum, ())
+    seen = {ident[1]: ident}
+    frontier = [ident]
+    for _ in range(max_length):
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                u = _ref_multiply_elts(datum, w, s)
+                if len(u[0]) == len(w[0]) + 1 and u[1] not in seen:
+                    seen[u[1]] = u
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda t: (len(t[0]), t[0]))
+
+
+def _triple(w):
+    return w.word, w.mat, w.matinv
+
+
+# the whole finite groups (a ball past the longest length) and two
+# affine balls: name -> (Cartan matrix, ball length, ball size)
+WEYL_REFERENCE = {
+    "A2": (PRESET_MATRICES["A2"], 3, 6),
+    "B2": (PRESET_MATRICES["B2"], 4, 8),
+    "G2": (PRESET_MATRICES["G2"], 6, 12),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9, 48),
+    "C3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 9, 48),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+           12, 192),
+    "A2aff": (PRESET_MATRICES["A2aff"], 8, None),
+    "G2aff": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], 8, None),
+}
+
+
+@pytest.mark.parametrize("name", list(WEYL_REFERENCE))
+def test_weyl_layer_matches_the_reference(name):
+    entries, length, size = WEYL_REFERENCE[name]
+    datum = build_datum(CartanMatrix(entries))
+    ref = _ref_ball(datum, length)
+    ball = weyl_ball(datum, length)
+    if size is not None:
+        assert len(ball) == size
+    # the same canonical word, matrix and inverse for every element
+    assert [_triple(w) for w in ball] == ref
+    # a fresh datum meets each element first through a word that is not
+    # canonical: the reversed word, which names the inverse
+    fresh = build_datum(CartanMatrix(entries))
+    for w in ball:
+        rev = canonicalize_word(fresh, w.word[::-1])
+        assert _triple(rev) == _ref_canonicalize_word(datum, w.word[::-1])
+        assert _triple(inverse_elt(datum, w)) == _triple(rev)
+    # the same product for every pair of the ball to length 3, on the
+    # datum that built the ball and on one that meets each product new
+    short = [w for w in ball if w.length <= 3]
+    other = build_datum(CartanMatrix(entries))
+    for w in short:
+        for y in short:
+            want = _ref_multiply_elts(datum, _triple(w), _triple(y))
+            assert _triple(multiply_elts(datum, w, y)) == want
+            got = multiply_elts(other, canonicalize_word(other, w.word),
+                                canonicalize_word(other, y.word))
+            assert _triple(got) == want
+
+
+def test_roots_are_interned_per_datum():
+    datum = preset_datum("B2")
+    root = datum.root_from_coords((1, 2))
+    assert datum.root_from_coords([1, 2]) is root
+    assert root.coords == (1, 2) and root.char == (0, 2)
+    assert datum.simple_root_obj(1) is datum.root_from_coords([1, 0])
+    s2 = canonicalize_word(datum, (2,))
+    assert datum.apply_root_matrix(s2, datum.simple_root_obj(1)) is root
+    for w in weyl_ball(datum, 4):
+        for r in inversion_set(datum, w):
+            assert datum.root_from_coords(list(r.coords)) is r
+    # a second datum keeps its own table
+    assert preset_datum("B2").root_from_coords((1, 2)) is not root
+
+
 def test_highest_roots_frozen():
     assert highest_root(preset_datum("A2")).coords == (1, 1)
     assert highest_root(preset_datum("B2")).coords == (1, 2)

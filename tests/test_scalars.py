@@ -248,3 +248,44 @@ def test_parse_poly_matches_the_reference_scanner():
         assert _outcome(parse_scalar, scalar) == expected
 
     check()
+
+
+def _hash_kinds(rng):
+    """Seeded scalars of every stored form: packed numerators, general
+    denominators (a tuple numerator), zero and parsed text."""
+    out = [QScalar.zero(), ONE, -Q, Q ** -3, QScalar.from_int(7)]
+    for _ in range(40):
+        a = _random_scalar(rng, allow_zero=True)
+        out += [a, a * Q ** rng.randint(-3, 3), parse_scalar(scalar_str(a))]
+        packed = QScalar(tuple(rng.randint(-9, 9) for _ in range(5)))
+        out += [packed, packed * Q ** -2]
+    return out
+
+
+def test_hash_is_the_hash_of_the_canonical_triple():
+    scalars_seen = _hash_kinds(random.Random(20261020))
+    assert any(x.h == scalars._LIMIT and x.d != (1,) for x in scalars_seen)
+    assert any(x.h < scalars._LIMIT and x.n not in (0, 1) for x in scalars_seen)
+    for x in scalars_seen:
+        want = hash((x.v, x.n, x.d))
+        assert hash(x) == want  # the first hash
+        assert hash(x) == want  # read back
+        assert hash((x.v, x.n, x.d)) == want
+
+
+def test_equal_values_hash_equal_however_built():
+    rng = random.Random(20261021)
+    for _ in range(100):
+        num = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
+        den = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+        if not any(den):
+            den = (1,)
+        built = QScalar(num, den)
+        parsed = parse_scalar(scalar_str(built))
+        hash(parsed)  # one side hashed before the other is built
+        arith = (QScalar(num) * QScalar(den).inverse()
+                 if any(num) else QScalar.zero())
+        for other in (parsed, arith):
+            assert other == built and hash(other) == hash(built)
+        # a value used as a dict key is found by an equal value
+        assert {built: 1}[arith] == 1
