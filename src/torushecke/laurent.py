@@ -15,6 +15,33 @@ into the next: only products add exponents, and a digit would need some
 exponents by a count, refuses a power past the bound.  ``terms`` shows
 the terms with tuple keys.
 
+Coefficients have two forms, as scalars have a packed one and a tuple
+one.  Nearly every coefficient the library meets lies in Z[q, q^-1] with
+a packed numerator (see ``scalars``).  A polynomial whose coefficients
+all do keeps plain ints {K: n_K} over one valuation v with one bound h:
+its coefficient at K is q^v n_K(q), n_K packed as in ``scalars``.  v is
+the least valuation over the terms, so some n_K has a nonzero low digit;
+every n_K has L1 norm at most 2^h, h < 62, and at most 32 digits.  Any
+other polynomial keeps one QScalar per term, so each value has one form
+and equality compares (v, ints).  On ints
+
+- a product multiplies and adds ints at valuation v_a + v_b, exactly,
+  since Z[q, t] is a domain, with bound h_a + h_b + ceil(log2 min(len)):
+  at most that many term products meet at one exponent;
+- a sum shifts the operand of higher valuation, with bound max + 1, and
+  moves low zero digits that a cancellation leaves on every term into v;
+- scaling by +-q^k moves v, and by another packed scalar multiplies;
+- division by t^alpha - c and restriction to t^alpha = c for c = +-q^k
+  shift digits, with bound h + ceil(log2 len), since each coefficient
+  they give sums distinct terms times powers of c; for k < 0 the
+  division first lowers v by the most digits its walk shifts off.
+
+A bound that reaches 62 reads the exact norms off the digits, as
+``QScalar.__add__`` does.  An operation whose bound would pass 62 or
+whose target is not +-q^k runs on scalars, and a result still too large
+or too wide keeps them: the width limit stops valuations far apart, such
+as q^65535 and q^-65535, from making an int of megabytes.
+
 A rational function is a Laurent polynomial numerator over a multiset
 of binomial factors (t^beta - c)^m, each keyed by the (doubled)
 character vector of a positive real root beta together with the target
@@ -51,8 +78,8 @@ nonzero coefficient at the fold point of its first term, the division
 is skipped; a division that passes runs as before, so reduced forms do
 not change.  The coefficient costs a few int operations per term, plus
 scalar work only for the terms that fold onto that point, where a
-division buckets and long-divides every term; it rules out 2 026 of the
-2 328 failing divisions of the A2aff braid suite to length 6.  Both
+division buckets and long-divides every term; it rules out 1 334 of the
+1 533 failing divisions of the A2aff braid suite to length 6.  Both
 the coefficient and ``restrict_to_divisor`` compute each power of c
 once per call.
 
@@ -96,7 +123,9 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .rootdata import RootDatumError, char_matrix
-from .scalars import EXPONENT_BOUND, QScalar, scalar_str
+from .scalars import (_K as _QK, _LIMIT, _MASK as _QMASK, _UNIT, _WIDE,
+                      EXPONENT_BOUND, QScalar, _make, _scalar, scalar_str,
+                      _unpack as _digits)
 
 __all__ = [
     "LaurentError",
@@ -122,6 +151,10 @@ _ONE = QScalar.one()
 _W = 48
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
+
+# An int coefficient stays below this many bits: at most _WIDE digits of q
+# above the valuation of its polynomial.
+_WIDTH = _QK * _WIDE
 
 
 class LaurentError(ValueError):
@@ -159,23 +192,23 @@ class LaurentPoly:
     [((0,), QScalar('-1')), ((2,), QScalar('1'))]
     """
 
-    # _keyed: {packed exponent vector: nonzero coefficient}
-    __slots__ = ("rank", "_keyed")
+    # _keyed: {packed exponent vector: nonzero coefficient}, in one of the
+    # two forms of the module docstring: ints over q^_v with digit bound
+    # _h, or QScalars with _v None
+    __slots__ = ("rank", "_keyed", "_v", "_h")
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
-        if terms:
-            self._keyed = {_pack(e, rank): c for e, c in terms.items()
-                           if not c.is_zero()}
-        else:
-            self._keyed = {}
+        self._keyed, self._v, self._h = _form(
+            {_pack(e, rank): c for e, c in terms.items() if not c.is_zero()}
+            if terms else {})
 
     @property
     def terms(self) -> MappingProxyType:
         """The terms, read-only, keyed by doubled exponent tuples."""
         rank = self.rank
         return MappingProxyType({_unpack(k, rank): c
-                                 for k, c in self._keyed.items()})
+                                 for k, c in _scalars(self).items()})
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
@@ -183,7 +216,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
-        return _raw(rank, {0: _ONE})
+        return _poly(rank, {0: 1}, 0, 0)
 
     @classmethod
     def monomial(cls, rank: int, exp: ExpVec, coef: QScalar = _ONE) -> "LaurentPoly":
@@ -202,28 +235,47 @@ class LaurentPoly:
 
     def coefficient(self, exp: ExpVec) -> QScalar:
         try:
-            return self._keyed.get(_pack(tuple(exp), self.rank), _ZERO)
+            c = self._keyed.get(_pack(tuple(exp), self.rank))
         except LaurentError:
             return _ZERO
+        if c is None:
+            return _ZERO
+        return c if self._v is None else _coef(c, self._v, self._h)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if other.rank != self.rank:
             raise LaurentError("Laurent polynomials of different ranks")
-        out = dict(self._keyed)
-        for e, c in other._keyed.items():
+        a, b = self._keyed, other._keyed
+        if not a or not b:
+            return other if b else self
+        v, w = self._v, other._v
+        s = zero = 0
+        if v is None or w is None:
+            a, b, v, zero = _scalars(self), _scalars(other), None, _ZERO
+        elif v > w:
+            # align the valuations, keeping the key order of self then other
+            a, v = {e: c << _QK * (v - w) for e, c in a.items()}, w
+        else:
+            s = _QK * (w - v)
+        out = dict(a)
+        for e, c in b.items():
+            if s:
+                c <<= s
             acc = out.get(e)
             if acc is None:
                 out[e] = c
             else:
-                s = acc + c
-                if s.is_zero():
+                c += acc
+                if c == zero:
                     del out[e]
                 else:
-                    out[e] = s
-        return _raw(self.rank, out)
+                    out[e] = c
+        # a cancellation can clear the low digit of every term
+        return _settle(self.rank, out, v, max(self._h, other._h) + 1)
 
     def __neg__(self) -> "LaurentPoly":
-        return _raw(self.rank, {e: -c for e, c in self._keyed.items()})
+        return _poly(self.rank, {e: -c for e, c in self._keyed.items()},
+                     self._v, self._h)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -235,42 +287,56 @@ class LaurentPoly:
             return NotImplemented
         if other.rank != self.rank:
             raise LaurentError("Laurent polynomials of different ranks")
-        out: dict[int, QScalar] = {}
-        a, b = self._keyed, other._keyed
-        if len(a) > len(b):
-            a, b = b, a
+        x, y = self, other
+        if len(x._keyed) > len(y._keyed):
+            x, y = y, x
+        a, b = x._keyed, y._keyed
+        # at most len(a) term products meet at one exponent
+        h = x._h + y._h + (len(a) - 1).bit_length()
+        ints = x._v is not None and y._v is not None and h <= _LIMIT
+        if not ints:
+            a, b = _scalars(x), _scalars(y)
+        out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                c = c1 * c2
                 acc = out.get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    out[e] = acc + c
+                out[e] = c1 * c2 if acc is None else acc + c1 * c2
+        if ints:
+            # Z[q, t] is a domain: the valuation is exactly x._v + y._v
+            return _fit(self.rank, {e: c for e, c in out.items() if c},
+                        x._v + y._v, h)
         return _raw(self.rank, {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
     def scale(self, c: QScalar) -> "LaurentPoly":
-        if c.is_zero():
+        if c.is_zero() or not self._keyed:
             return LaurentPoly(self.rank)
-        return _raw(self.rank, {e: x * c for e, x in self._keyed.items()})
+        v, n, h = self._v, c.n, self._h + c.h
+        if v is not None and c.h < _LIMIT and h <= _LIMIT:
+            if n == 1:
+                return _poly(self.rank, self._keyed, v + c.v, self._h)
+            return _fit(self.rank, {e: x * n for e, x in self._keyed.items()},
+                        v + c.v, h)
+        return _raw(self.rank, {e: x * c for e, x in _scalars(self).items()})
 
     def shift(self, exp: ExpVec) -> "LaurentPoly":
         """Multiply by the monomial t^(exp/2) (doubled exponent vector)."""
         s = _pack(exp, self.rank)
-        return _raw(self.rank, {e + s: c for e, c in self._keyed.items()})
+        return _poly(self.rank, {e + s: c for e, c in self._keyed.items()},
+                     self._v, self._h)
 
     def transform_exponents(self, mat) -> "LaurentPoly":
         """Apply an integer matrix to every (doubled) exponent vector.
 
         The image of K is sum_j e_j C_j, with C_j the packed column j;
-        the columns pass the same bound as exponents.
+        the columns pass the same bound as exponents.  Terms that meet
+        add as scalars.
         """
         rows = len(mat)
         cols = [_pack([row[j] for row in mat], rows) for j in range(self.rank)]
-        out: dict[int, QScalar] = {}
+        out: dict = {}
         for k, c in self._keyed.items():
             y = 0
             for col in cols:
@@ -279,6 +345,11 @@ class LaurentPoly:
                 k >>= _W
             acc = out.get(y)
             out[y] = c if acc is None else acc + c
+        if len(out) == len(self._keyed):
+            return _poly(rows, out, self._v, self._h)
+        if self._v is not None:
+            return _poly(self.rank, _scalars(self), None,
+                         _LIMIT).transform_exponents(mat)
         return _raw(rows, {e: c for e, c in out.items() if not c.is_zero()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -289,11 +360,13 @@ class LaurentPoly:
         """
         if k < 0:
             raise LaurentError("negative power of a Laurent polynomial")
-        if k > 1 and k * max((abs(x) for e in self.terms for x in e),
+        rank = self.rank
+        if k > 1 and k * max((abs(x) for e in self._keyed
+                              for x in _unpack(e, rank)),
                              default=0) >= EXPONENT_BOUND:
             raise LaurentError(f"power {k} would take an exponent out of "
                                f"range: |e| must be below {EXPONENT_BOUND}")
-        out = LaurentPoly.one(self.rank)
+        out = LaurentPoly.one(rank)
         base = self
         while k:
             if k & 1:
@@ -304,7 +377,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.rank == other.rank
-                and self._keyed == other._keyed)
+                and self._v == other._v and self._keyed == other._keyed)
 
     def __repr__(self):
         if not self._keyed:
@@ -314,12 +387,74 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
 
-def _raw(rank: int, keyed: dict) -> LaurentPoly:
-    """A LaurentPoly around packed terms that hold no zero coefficient."""
-    p = LaurentPoly.__new__(LaurentPoly)
-    p.rank = rank
-    p._keyed = keyed
+_new = object.__new__
+
+
+def _poly(rank: int, keyed: dict, v, h: int) -> LaurentPoly:
+    """A LaurentPoly around terms already in their form."""
+    p = _new(LaurentPoly)
+    p.rank, p._keyed, p._v, p._h = rank, keyed, v, h
     return p
+
+
+def _form(keyed: dict) -> tuple:
+    """(keyed, v, h) of {packed exponent: nonzero QScalar}: ints over the
+    least valuation v when every coefficient is packed and shifts to
+    fewer than _WIDTH bits, else the scalars themselves with v None."""
+    v = min((c.v for c in keyed.values()), default=0)
+    h = 0
+    for c in keyed.values():
+        if c.h >= _LIMIT or _QK * (c.v - v) + c.n.bit_length() >= _WIDTH:
+            return keyed, None, _LIMIT
+        if c.h > h:
+            h = c.h
+    return {e: c.n << _QK * (c.v - v) for e, c in keyed.items()}, v, h
+
+
+def _raw(rank: int, keyed: dict) -> LaurentPoly:
+    """The LaurentPoly of {packed exponent: nonzero QScalar}."""
+    return _poly(rank, *_form(keyed))
+
+
+def _coef(n: int, v: int, h: int) -> QScalar:
+    """The scalar q^v * n of a nonzero int whose digits are below 2^h,
+    h <= _LIMIT; at _LIMIT its exact norm is read off the digits."""
+    k = ((n & -n).bit_length() - 1) // _QK
+    if h < _LIMIT:
+        return _make(v + k, n >> _QK * k, _UNIT, h)
+    return _scalar(v + k, _digits(n >> _QK * k), _UNIT)
+
+
+def _scalars(p: LaurentPoly) -> dict:
+    """{packed exponent: QScalar} of either form."""
+    v, h = p._v, p._h
+    if v is None:
+        return p._keyed
+    return {e: _coef(n, v, h) for e, n in p._keyed.items()}
+
+
+def _settle(rank: int, ints: dict, v, h: int) -> LaurentPoly:
+    """``_fit`` of a sum, a quotient or a fold: low zero digits that every
+    term shares, as a cancellation or a shift can leave, move into v."""
+    if v is not None and ints and not any(map(_QMASK.__and__, ints.values())):
+        k = (min(n & -n for n in ints.values()).bit_length() - 1) // _QK
+        ints = {e: n >> _QK * k for e, n in ints.items()}
+        v += k
+    return _fit(rank, ints, v, h)
+
+
+def _fit(rank: int, ints: dict, v, h: int) -> LaurentPoly:
+    """The LaurentPoly sum q^v * ints[K] t^K of nonzero ints, some with a
+    nonzero low digit and all with digits below 2^h, h <= _LIMIT; or of
+    nonzero QScalars when v is None.  A bound at _LIMIT, or an int of
+    _WIDTH bits, goes through the scalars."""
+    if v is None:
+        return _raw(rank, ints)
+    if not ints:
+        return _poly(rank, ints, 0, 0)
+    if h < _LIMIT and max(map(int.bit_length, ints.values())) < _WIDTH:
+        return _poly(rank, ints, v, h)
+    return _raw(rank, {e: _coef(n, v, h) for e, n in ints.items()})
 
 
 # -- binomial division -----------------------------------------------------
@@ -399,6 +534,19 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _walk(poly: LaurentPoly, target: QScalar) -> tuple:
+    """(coefficients, v, h) for a walk whose every result sums distinct
+    terms of poly, each times a power of target: ints over q^v, digits
+    below 2^h, when poly is in int form and target is +-q^k; else the
+    scalars, with v None."""
+    v = poly._v
+    h = poly._h + (len(poly._keyed) - 1).bit_length()
+    n = target.n
+    if v is not None and h <= _LIMIT and (n == 1 or n == -1):
+        return poly._keyed, v, h
+    return _scalars(poly), None, _LIMIT
+
+
 def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
                        target: QScalar):
     """Write poly = (t^alpha - c) * quotient + remainder, both exact.
@@ -409,35 +557,52 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
     a term e sends its coefficient to the quotient at e - alpha and, times
     c, to e - alpha one level g lower.  The remainder is what is left in the
     bottom g levels, so it is zero exactly when the binomial divides poly.
+    On ints, c = +-q^k is a digit shift; for k < 0 the valuation is first
+    lowered by as many digits as the walk can shift off.
     """
     if poly.is_zero():
         return poly, poly
     u, r, s, g, a, _ = _linear_form(alpha_doubled)
-    levels: dict[int, dict[int, QScalar]] = {}
-    for e, c in poly._keyed.items():
+    keyed, v, h = _walk(poly, target)
+    levels: dict[int, dict] = {}
+    for e, c in keyed.items():
         levels.setdefault((((e * u + r) >> s) & _MASK) - _HALF, {})[e] = c
-    scale = not target.is_one()
-    quot: dict[int, QScalar] = {}
+    top, bottom = max(levels), min(levels)
+    times = None if target.is_one() else target.__mul__
+    zero = _ZERO
+    if v is not None:
+        zero, k, n = 0, target.v, target.n
+        if k < 0:
+            d = -k * ((top - bottom) // g)
+            v -= d
+            for src in levels.values():
+                for e in src:
+                    src[e] <<= _QK * d
+            sh = -_QK * k
+            times = (lambda c: c >> sh) if n == 1 else (lambda c: -(c >> sh))
+        elif times:
+            times = (n << _QK * k).__mul__
+    quot: dict = {}
     # walk every level down to the lowest plus g, including levels the
     # division itself fills
-    for k in range(max(levels), min(levels) + g - 1, -1):
+    for k in range(top, bottom + g - 1, -1):
         src = levels.pop(k, None)
         if not src:
             continue
         low = levels.setdefault(k - g, {})
         for e, c in src.items():
-            if c.is_zero():
+            if c == zero:
                 continue
             # each level is walked once, so quot never sees qe twice
             qe = e - a
             quot[qe] = c
-            if scale:
-                c = c * target
+            if times:
+                c = times(c)
             acc = low.get(qe)
             low[qe] = c if acc is None else acc + c
     rem = {e: c for src in levels.values() for e, c in src.items()
-           if not c.is_zero()}
-    return _raw(poly.rank, quot), _raw(poly.rank, rem)
+           if c != zero}
+    return _settle(poly.rank, quot, v, h), _settle(poly.rank, rem, v, h)
 
 
 def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
@@ -448,26 +613,45 @@ def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     s = <u0, e> div g for the linear form of ``divide_by_binomial``; the
     representative has level in [0, g).  The result is zero exactly when
     poly lies in the ideal of the divisor, and two polynomials restrict to
-    the same result exactly when they agree on the divisor.
+    the same result exactly when they agree on the divisor.  On ints,
+    c^s = (+-1)^s q^(ks) is a shift by ks - low digits over q^(v + low),
+    low the least ks.
     """
     if poly.is_zero():
         return poly
     u, r, sh, g, a, _ = _linear_form(alpha_doubled)
-    scale = not target.is_one()
-    powers: dict[int, QScalar] = {}
-    out: dict[int, QScalar] = {}
-    for e, c in poly._keyed.items():
+    keyed, v, h = _walk(poly, target)
+    out: dict = {}
+    if v is None:
+        scale = not target.is_one()
+        powers: dict[int, QScalar] = {}
+        for e, c in keyed.items():
+            s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
+            if s:
+                e -= s * a
+                if scale:
+                    p = powers.get(s)
+                    if p is None:
+                        p = powers[s] = target ** s
+                    c = c * p
+            acc = out.get(e)
+            out[e] = c if acc is None else acc + c
+        return _raw(poly.rank, {e: c for e, c in out.items()
+                                if not c.is_zero()})
+    k, odd = target.v, target.n == -1
+    low = k and min(k * (((((e * u + r) >> sh) & _MASK) - _HALF) // g)
+                    for e in keyed)
+    for e, c in keyed.items():
         s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
         if s:
             e -= s * a
-            if scale:
-                p = powers.get(s)
-                if p is None:
-                    p = powers[s] = target ** s
-                c = c * p
+            if odd and s & 1:
+                c = -c
+        c <<= _QK * (k * s - low)
         acc = out.get(e)
         out[e] = c if acc is None else acc + c
-    return _raw(poly.rank, {e: c for e, c in out.items() if not c.is_zero()})
+    return _settle(poly.rank, {e: c for e, c in out.items() if c},
+                   v + low, h)
 
 
 def _restriction_coefficient(poly: LaurentPoly, alpha_doubled: ExpVec,
@@ -477,27 +661,42 @@ def _restriction_coefficient(poly: LaurentPoly, alpha_doubled: ExpVec,
 
     That is the sum of c_e c^(s_e - s_0) over the terms whose fold point
     e - s_e alpha is e_0's; a multiple of t^alpha - c restricts to zero,
-    so a nonzero sum proves the binomial does not divide poly.
+    so a nonzero sum proves the binomial does not divide poly.  On ints
+    the sum is kept over q^(v + low), and low falls as a term needs it.
     """
     if poly.is_zero():
         return _ZERO
-    items = iter(poly._keyed.items())
+    keyed, v, h = _walk(poly, target)
+    items = iter(keyed.items())
     e0, acc = next(items)
     u, r, sh, g, a, _ = _linear_form(alpha_doubled)
     s0 = ((((e0 * u + r) >> sh) & _MASK) - _HALF) // g
     point = e0 - s0 * a
-    scale = not target.is_one()
-    powers: dict[int, QScalar] = {}
+    if v is None:
+        scale = not target.is_one()
+        powers: dict[int, QScalar] = {}
+        for e, c in items:
+            s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
+            if e - s * a == point:
+                if scale and s != s0:
+                    p = powers.get(s)
+                    if p is None:
+                        p = powers[s] = target ** (s - s0)
+                    c = c * p
+                acc = acc + c
+        return acc
+    k, odd, low = target.v, target.n == -1, 0
     for e, c in items:
         s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
         if e - s * a == point:
-            if scale and s != s0:
-                p = powers.get(s)
-                if p is None:
-                    p = powers[s] = target ** (s - s0)
-                c = c * p
-            acc = acc + c
-    return acc
+            j = k * (s - s0)
+            if j < low:
+                acc <<= _QK * (low - j)
+                low = j
+            if odd and (s - s0) & 1:
+                c = -c
+            acc += c << _QK * (j - low)
+    return _coef(acc, v + low, h) if acc else _ZERO
 
 
 def vanishes_on_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,

@@ -320,3 +320,37 @@ def test_check_report_bytes_pinned(tmp_path, datum):
     code = run_cli(["check", "-d", datum, "--level", "hq", str(path),
                     "-o", str(out)])
     assert (code, _digest(out)) == (1, CHECK_DIGESTS[datum])
+
+
+# element files on A2 at the edges of the int coefficient form of
+# ``LaurentPoly``: name -> (payload, exit code and sha256 of the `mul -o`
+# bytes of the element with itself, then of `check --level hq -o`)
+EDGE_FILES = {
+    # valuations 131 070 digits of q apart: the scalar form is kept
+    "q-span": ({"terms": [{"word": [1], "num": [
+        {"coef": "q^65535", "exp": [2, 0]},
+        {"coef": "q^-65535", "exp": [0, 0]}], "den": []}]},
+        (0, "e735d6407db0b5575114e72bfc6030d4081585f914a85db4dd7037259da798e8"),
+        (1, "ce8af7022018b05afd738822f8c73b7596d873054cbde9bff21e8a4b030388cb")),
+    # 2^61, the last packed norm, squares past the int form
+    "last-packed-norm": ({"terms": [{"word": [1], "num": [
+        {"coef": "2305843009213693952", "exp": [0, 0]},
+        {"coef": "q^-3", "exp": [2, 0]}]}]},
+        (0, "ff959e3138a1f3a2ffbba0a60e2b7a40fc2cdc3e20b6ad056c00a13b284677bd"),
+        None),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FILES))
+def test_edge_coefficient_reports_pinned(tmp_path, name):
+    payload, mul_pin, check_pin = EDGE_FILES[name]
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "mul.json"
+    code = run_cli(["mul", "-d", "A2", str(path), str(path), "-o", str(out)])
+    assert (code, _digest(out)) == mul_pin
+    if check_pin is not None:
+        out = tmp_path / "check.json"
+        code = run_cli(["check", "-d", "A2", "--level", "hq", str(path),
+                        "-o", str(out)])
+        assert (code, _digest(out)) == check_pin

@@ -51,6 +51,13 @@ def _random_scalar(rng):
     return QScalar(num)
 
 
+def _stored(p):
+    """Everything a polynomial stores: its rank, terms in key order, and
+    the valuation and digit bound of the int form (None and the scalar
+    limit in the scalar form)."""
+    return p.rank, list(p._keyed.items()), p._v, p._h
+
+
 def _random_poly(rng, rank, terms=4, span=3):
     out = {}
     for _ in range(terms):
@@ -248,7 +255,7 @@ def test_weyl_transform_matches_the_root_by_root_construction():
                 for _ in range(2):
                     got = f.weyl_transform(w)
                     num, den = _reference_twist(f, w)
-                    assert list(got.num._keyed.items()) == list(num._keyed.items())
+                    assert _stored(got.num) == _stored(num)
                     assert list(got.den.items()) == list(den.items())
                 negated += any(
                     not datum.apply_root_matrix(
@@ -386,8 +393,8 @@ def test_closure_suites_leave_shared_binomials_unchanged():
             # with the terms it had then
             for key, poly in seen.items():
                 assert laurent._BINOMIAL_CACHE[key] is poly[0]
-                assert poly[0]._keyed == poly[1]
-            seen.update((key, (poly, dict(poly._keyed)))
+                assert _stored(poly[0]) == poly[1]
+            seen.update((key, (poly, _stored(poly)))
                         for key, poly in laurent._BINOMIAL_CACHE.items())
     assert seen
     for (rank, dchar, target, mult), (poly, _terms) in seen.items():
@@ -451,3 +458,63 @@ def test_packed_keys_hash_apart():
     vals = range(-12, 13, 2)
     hashes = {hash(_pack(v + (0,), 6)) for v in itertools.product(vals, repeat=5)}
     assert len(hashes) == len(vals) ** 5
+
+
+# -- the two coefficient forms ---------------------------------------------
+
+LAST_PACKED = QScalar.from_int(1 << 61)
+
+
+def test_a_product_past_the_last_packed_norm_keeps_scalars():
+    # 2^61 is the last packed norm; its square is not packed
+    p = LaurentPoly(2, {(0, 0): LAST_PACKED})
+    assert p._v == 0 and p._h == 61
+    square = p * p
+    assert square._v is None
+    assert square.terms == {(0, 0): QScalar.from_int(1 << 122)}
+    mixed = LaurentPoly(2, {(0, 0): LAST_PACKED, (2, 0): Q ** -3})
+    assert mixed._v == -3
+    assert (mixed * mixed).terms == {
+        (0, 0): QScalar.from_int(1 << 122), (4, 0): Q ** -6,
+        (2, 0): QScalar.from_int(1 << 62) * Q ** -3}
+    # two term products that meet at one exponent: 2 * 2^30 * 2^31 = 2^62
+    # is past the bound 2^61 that 2^30 * 2^31 alone would give
+    a = LaurentPoly(1, {(0,): QScalar.from_int(1 << 30), (2,): QScalar.from_int(1 << 30)})
+    b = LaurentPoly(1, {(0,): QScalar.from_int(1 << 31), (2,): QScalar.from_int(1 << 31)})
+    ab = a * b
+    assert ab._v is None
+    assert ab.terms == {(0,): LAST_PACKED, (2,): QScalar.from_int(1 << 62),
+                        (4,): LAST_PACKED}
+
+
+def test_a_cancelling_sum_strips_the_low_digit():
+    a = LaurentPoly(2, {(0, 0): ONE + Q, (2, 0): QScalar.from_int(2) + Q * Q})
+    b = LaurentPoly(2, {(0, 0): -ONE, (2, 0): QScalar.from_int(-2)})
+    total = a + b
+    assert (total._v, list(total._keyed.values())) == (1, [1, 1 << 64])
+    assert total == LaurentPoly(2, {(0, 0): Q, (2, 0): Q * Q})
+    assert (a - a)._v == 0 and (a - a).is_zero()
+
+
+def test_far_apart_valuations_keep_scalars():
+    # a common valuation would hold an int of 131 070 digits of q
+    far = LaurentPoly(2, {(2, 0): Q ** 65535, (0, 0): Q ** -65535})
+    assert far._v is None
+    assert (far * far)._v is None
+    assert (far * far).terms == {(4, 0): Q ** 131070, (2, 0): QScalar.from_int(2),
+                                 (0, 0): Q ** -131070}
+    # an int holds at most 32 digits of q over the valuation
+    near = LaurentPoly(2, {(2, 0): Q ** 31, (0, 0): ONE})
+    assert near._v == 0
+    assert LaurentPoly(2, {(2, 0): Q ** 32, (0, 0): ONE})._v is None
+    assert (near * near)._v is None
+    assert (near * near).terms == {(4, 0): Q ** 62, (2, 0): Q ** 31 * QScalar.from_int(2),
+                                   (0, 0): ONE}
+
+
+def test_scale_by_a_signed_power_of_q_shifts_the_valuation():
+    p = LaurentPoly(2, {(2, 0): ONE + Q, (0, 0): QScalar.from_int(3)})
+    for c in (Q ** 5, -(Q ** -4), ONE, -ONE):
+        got = p.scale(c)
+        assert got._v == c.v and got._h == p._h
+        assert got.terms == {e: x * c for e, x in p.terms.items()}

@@ -13,10 +13,13 @@ vectors of the library are its exponents as they stand.  Products and
 sums of rational functions are checked against plain trial division of
 the whole numerator by every denominator factor, equality against
 subtraction and a sympy cross-multiplication, and the twists kept on a
-function against fresh ones.
+function against fresh ones.  Polynomial arithmetic and the three
+kernels on int coefficients are checked against the same value kept as
+QScalars, which runs the scalar path, and against sympy.
 """
 
 import functools
+import operator
 
 import pytest
 
@@ -27,6 +30,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
+from torushecke import laurent  # noqa: E402
 from torushecke.algebra import AlgebraElement  # noqa: E402
 from torushecke.laurent import (  # noqa: E402
     LaurentPoly,
@@ -43,7 +47,7 @@ from torushecke.rootdata import (  # noqa: E402
     preset_datum,
     weyl_ball,
 )
-from torushecke.scalars import QScalar  # noqa: E402
+from torushecke.scalars import _LIMIT, _MASK, QScalar, _unpack  # noqa: E402
 
 Q = QScalar.q_power(1)
 ONE = QScalar.one()
@@ -483,3 +487,112 @@ def test_kept_twists_equal_fresh_ones(name, data, pick):
         assert x.weyl_transform(w) is first
         fresh = RatFunc(datum, x.num, x.den).weyl_transform(w)
         _same(first, fresh.num, fresh.den)
+
+
+# -- the two coefficient forms ------------------------------------------------
+
+# 2^61 is the last packed norm; 2^30 and 2^31 meet past it in a product of
+# two terms each; q^40 takes a product past 32 digits of q
+FORM_COEFS = COEFS + tuple(
+    QScalar.from_int(k) for k in (1 << 61, -(1 << 61), 1 << 30, -(1 << 31))
+) + (-(Q ** 3), Q ** 5 - Q ** -4, Q ** 40)
+FORM_TARGETS = (ONE, Q ** 2, Q ** -2, -(Q ** 3), Q + ONE)
+
+
+def _scalar_form(poly):
+    """poly with its coefficients kept as QScalars: every operation on it
+    runs the scalar path."""
+    return laurent._poly(poly.rank, laurent._scalars(poly), None, _LIMIT)
+
+
+def _agree(got, want):
+    """got equals want in value and key order, and is in the one form its
+    value selects; an int form has a nonzero low digit (or is zero at
+    valuation 0) and digits within its bound.  want may keep the scalar
+    form of ``_scalar_form``, which a negation or a shift leaves as it is."""
+    fresh = LaurentPoly(got.rank, dict(got.terms))
+    assert (got._v, list(got._keyed.items())) == (
+        fresh._v, list(fresh._keyed.items()))
+    want = LaurentPoly(want.rank, dict(want.terms))
+    if got._v is not None:
+        ints = got._keyed.values()
+        assert got._h < _LIMIT
+        assert any(n & _MASK for n in ints) or (not ints and got._v == 0)
+        assert all(sum(map(abs, _unpack(n))) <= 1 << got._h for n in ints)
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _form_poly(rank, span=2, size=4):
+    exps = st.tuples(*[st.integers(-span, span)] * rank)
+    return st.dictionaries(exps, st.sampled_from(FORM_COEFS),
+                           max_size=size).map(lambda t: LaurentPoly(rank, t))
+
+
+@st.composite
+def form_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    return (draw(_form_poly(rank)), draw(_form_poly(rank)),
+            draw(st.sampled_from(FORM_TARGETS)))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(form_pairs())
+def test_int_arithmetic_agrees_with_scalars_and_sympy(case):
+    a, b, c = case
+    rank = a.rank
+    sa, sb = _scalar_form(a), _scalar_form(b)
+    # one invertible matrix, and one that merges exponents
+    shear = [[1] * rank] + [[int(i == j) for j in range(rank)]
+                            for i in range(1, rank)]
+    merge = [[1] * rank]
+    for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb),
+                      (a * sb, sa * b), (-a, -sa),
+                      (a.scale(c), sa.scale(c)),
+                      (a.shift((2,) + (-1,) * (rank - 1)),
+                       sa.shift((2,) + (-1,) * (rank - 1))),
+                      (a.transform_exponents(shear),
+                       sa.transform_exponents(shear)),
+                      (a.transform_exponents(merge),
+                       sa.transform_exponents(merge))):
+        _agree(got, want)
+    na, nb = _clearing(a), _clearing(b)
+    n = tuple(map(max, na, nb))
+    assert _sym(a * b, tuple(map(operator.add, na, nb))) == (
+        _sym(a, na) * _sym(b, nb))
+    assert _sym(a + b, n) == _sym(a, n) + _sym(b, n)
+    assert _sym(a.scale(c), na) == _sym(a, na) * _coef(c)
+
+
+@st.composite
+def form_cases(draw):
+    """(poly, doubled alpha, target) over the form coefficients and targets."""
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(A2AFF))
+    else:
+        alpha = draw(st.tuples(*[st.integers(-3, 3)] * draw(
+            st.integers(1, 3))).filter(any))
+    rank = len(alpha)
+    target = draw(st.sampled_from(FORM_TARGETS))
+    poly = draw(_form_poly(rank, span=3, size=5))
+    if draw(st.booleans()):
+        poly = expand_den_factor(rank, alpha, target, 1) * poly
+    return poly, alpha, target
+
+
+@settings(SETTINGS, max_examples=80)
+@given(form_cases())
+def test_int_kernels_agree_with_scalars_and_sympy(case):
+    poly, alpha, target = case
+    spoly = _scalar_form(poly)
+    quot, rem = divide_by_binomial(poly, alpha, target)
+    want = divide_by_binomial(spoly, alpha, target)
+    _agree(quot, want[0])
+    _agree(rem, want[1])
+    fold = restrict_to_divisor(poly, alpha, target)
+    _agree(fold, restrict_to_divisor(spoly, alpha, target))
+    assert _restriction_coefficient(poly, alpha, target) == (
+        _restriction_coefficient(spoly, alpha, target))
+    binom = expand_den_factor(len(alpha), alpha, target, 1)
+    assert rem.is_zero() == _divides(binom, poly)
+    assert _divides(binom, poly - rem) and _divides(binom, poly - fold)
