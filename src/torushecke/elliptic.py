@@ -11,14 +11,16 @@ building blocks are Jacobi theta series in the nome, from which we get
   order-2 points, and derivative 1 at the origin.
 
 A curve computes its nome, the theta constants, the sn normalization,
-the lattice determinant that ``reduce`` reads and ``min_period`` once, at
-construction; the series prefactors 2q^{(n+1/2)^2} and 2q^{n^2} are
-tabulated once per nome and shared by theta_1 (with its derivatives),
-theta_2, theta_3 and theta_4.  The theta_1 series keeps k^j as a running
-exact power and its largest term as a running maximum, but does the
-float operations of the plain term-by-term sum in the same order, so its
-values are the same bits (a test keeps the plain sum as the reference);
-the residue and probe circles read their unit nodes from two tables made
+the lattice determinant and nine offsets that ``reduce`` reads,
+``min_period``, and wp's scale powers and m = 0 constant once, at
+construction.  Per nome, the prefactors 2q^{(n+1/2)^2} and 2q^{n^2} and
+the theta_1 term rows (-1)^n 2q^{(n+1/2)^2} k^j are tabulated once and
+shared by theta_1 (with its derivatives), theta_2, theta_3 and theta_4.
+A theta_1 term is a row entry times a sine or cosine, the float the
+plain term-by-term sum computes, summed in the same order, so the values
+are the same bits (a test keeps the plain sum as the reference); one
+pass serves several derivative orders, each read at its own stop.
+The residue and probe circles read their unit nodes from two tables made
 at import.  Where a series term overflows double precision (Im tau from
 about 75 up to where the nome underflows near 237, at points with large
 Im v) evaluation refuses with ``EllipticError``, which the CLI turns
@@ -42,7 +44,10 @@ point sampler and its generators alike, and one memo per coefficient,
 sn(c)/sn(x) by x and wp^(m)(t - xi) by t, and evaluates each value once;
 the memos go with the call (nothing is kept on the curve or the module,
 so two suites on one curve share nothing).  A point whose evaluation
-raises is not kept.
+raises is not kept.  Every order wp^(0..m_max) is read at the same nodes
+of the first residue circle, so each of those nodes gets one theta_1
+pass for all the orders; a node where that pass raises, the nodes of a
+shrunken circle and the probes are evaluated order by order.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ __all__ = [
 ]
 
 _TERMS = 200
+# theta_1 derivative orders tabulated per nome: wp^(6) needs order 8
+_ORDERS = 9
 # largest |exp(i*pi*tau)| a curve accepts (Im tau >= 0.0916)
 _NOME_MAX = 0.75
 # largest Im tau at which braid-failure runs: its gap shrinks about 4x per
@@ -79,62 +86,77 @@ class EllipticError(ValueError):
     """Bad parameters or evaluation at a removed point."""
 
 
-def _prefactors(nome: complex) -> Tuple[List[complex], List[complex]]:
-    """2q^{(n+1/2)^2} and 2q^{n^2} for n < _TERMS, once per nome, with
-    q^{1/4} on the principal branch; (-1)^n is left to the caller."""
+def _prefactors(nome: complex) -> tuple:
+    """2q^{(n+1/2)^2} and 2q^{n^2} for n < _TERMS, with q^{1/4} on the
+    principal branch, and the theta_1 term rows: row n holds
+    (-1)^n 2q^{(n+1/2)^2} k^j for j < _ORDERS, k = 2n + 1; once per nome."""
     table = _NOME_QUARTER_CACHE.get(nome)
     if table is None:
         quarter = nome ** 0.25
+        odd = [2.0 * nome ** (n * n + n) * quarter for n in range(_TERMS)]
         table = _NOME_QUARTER_CACHE[nome] = (
-            [2.0 * nome ** (n * n + n) * quarter for n in range(_TERMS)],
-            [2.0 * nome ** (n * n) for n in range(_TERMS)])
+            odd, [2.0 * nome ** (n * n) for n in range(_TERMS)],
+            [[(-a if n & 1 else a) * (2 * n + 1) ** j for j in range(_ORDERS)]
+             for n, a in enumerate(odd)])
     return table
 
 
-_NOME_QUARTER_CACHE: Dict[complex, Tuple[List[complex], List[complex]]] = {}
+_NOME_QUARTER_CACHE: Dict[complex, tuple] = {}
 
 
-def _theta_derivs(v: complex, nome: complex, order: int) -> List[complex]:
-    """theta_1 and its first `order` derivatives at v, by direct series.
+def _theta_series(v: complex, nome: complex, low: int,
+                  top: int) -> Dict[int, List[complex]]:
+    """theta_1 and its first o derivatives at v for each order o in
+    low..top, from one pass of the series.
 
-    Term j of summand n is base * k^j * cycle[j mod 4] with k = 2n + 1,
-    k^j an exact int kept as a running power; the sum stops after two
-    summands in a row whose largest term is below 1e-18 of the largest
-    partial sum.
+    Term j of summand n is row[j] * cycle[j mod 4] at every order.  Order
+    o stops after two summands in a row whose largest term j <= o is below
+    1e-18 of the largest partial sum j <= o and keeps its partial sums j <= o
+    at that step: the series at order o alone.  The pass raises where any
+    order would.
     """
-    odd = _prefactors(nome)[0]
-    out = [0j] * (order + 1)
-    orders = range(order + 1)
-    tiny_run = 0
+    rows = _prefactors(nome)[2]
+    out = [0j] * (top + 1)
+    runs = [0] * (top + 1)  # tiny summands in a row per order; 2 is done
+    done: Dict[int, List[complex]] = {}
     for n in range(_TERMS):
-        k = 2 * n + 1
-        base = -odd[n] if n & 1 else odd[n]
-        kv = k * v
+        kv = (2 * n + 1) * v
         s = cmath.sin(kv)
         c = cmath.cos(kv)
         cycle = (s, c, -s, -c)
+        row = rows[n]
         mag = 0.0
-        kj = 1
-        for j in orders:
-            term = base * kj * cycle[j & 3]
-            out[j] += term
+        for j in range(top + 1):
+            term = row[j] * cycle[j & 3]
+            x = out[j] = out[j] + term
             a = abs(term)
             if a > mag:
                 mag = a
-            kj *= k
-        if mag < 1e-18 * (max(map(abs, out)) + 1e-300):
-            tiny_run += 1
-            if tiny_run >= 2:
-                return out
-        else:
-            tiny_run = 0
+            b = abs(x)
+            if not j or b > big:
+                big = b
+            if j < low or runs[j] > 1:
+                continue
+            if mag < 1e-18 * (big + 1e-300):
+                runs[j] += 1
+                if runs[j] > 1:
+                    done[j] = out[:j + 1]
+                    if len(done) > top - low:
+                        return done
+            else:
+                runs[j] = 0
     raise EllipticError("theta series failed to converge; "
                         "period ratio too close to the real axis")
 
 
+def _theta_derivs(v: complex, nome: complex, order: int) -> List[complex]:
+    """theta_1 and its first `order` derivatives at v, by direct series."""
+    return _theta_series(v, nome, order, order)[order]
+
+
 def _theta_even(v: complex, nome: complex, kind: int) -> complex:
     """theta_2, theta_3 or theta_4 at v (no derivatives needed)."""
-    odd, even = _prefactors(nome)
+    odd, even, _ = _prefactors(nome)
     out, first, pref, step = ((0j, 0, odd, 1) if kind == 2
                               else (1 + 0j, 1, even, 0))
     for n in range(first, _TERMS):
@@ -156,8 +178,9 @@ class EllipticCurveParams:
     unhashable.
     """
 
-    __slots__ = ("omega1", "omega2", "q_point", "_det", "min_period", "nome",
-                 "th1p", "th1ppp", "th2_0", "th3_0", "th4_0", "sn_scale")
+    __slots__ = ("omega1", "omega2", "q_point", "_det", "_offsets",
+                 "min_period", "nome", "th1p", "th1ppp", "th2_0", "th3_0",
+                 "th4_0", "sn_scale", "_wp_scales", "_wp_const")
     __hash__ = None
 
     def __init__(self, omega1: complex, omega2: complex, q_point: complex):
@@ -177,6 +200,8 @@ class EllipticCurveParams:
             raise EllipticError("period ratio must have positive imaginary part")
         w1, w2 = self.omega1, self.omega2
         put(self, "_det", w1.real * w2.imag - w1.imag * w2.real)
+        put(self, "_offsets", [(da * w1, db * w2) for da in (-1, 0, 1)
+                               for db in (-1, 0, 1)])
         put(self, "min_period",
             min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2)))
         # once the nome underflows, every theta constant vanishes and sn
@@ -208,6 +233,17 @@ class EllipticCurveParams:
             put(self, f"th{kind}_0", _theta_even(0j, nome, kind))
         put(self, "sn_scale", self.omega1 * self.th3_0 * self.th4_0
             / (math.pi * self.th1p * self.th2_0))
+        # wp's scale powers (pi/omega1)^(m+2) up to the first that overflows
+        # (periods below about 1e-38), and its m = 0 constant
+        scales: List[complex] = []
+        try:
+            for m in range(7):
+                scales.append((math.pi / w1) ** (m + 2))
+        except OverflowError:
+            pass
+        put(self, "_wp_scales", scales)
+        put(self, "_wp_const", scales[0] * self.th1ppp / (3.0 * self.th1p)
+            if scales else None)
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -249,11 +285,10 @@ class EllipticCurveParams:
         b = (w1.real * z.imag - w1.imag * z.real) / det
         z0 = z - round(a) * w1 - round(b) * w2
         best = z0
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                cand = z0 - da * w1 - db * w2
-                if abs(cand) < abs(best):
-                    best = cand
+        for da_w1, db_w2 in self._offsets:
+            cand = z0 - da_w1 - db_w2
+            if abs(cand) < abs(best):
+                best = cand
         return best
 
     def _near_lattice(self, z: complex) -> bool:
@@ -266,15 +301,21 @@ _BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(8)]
 
 def _log_theta_derivs(params: EllipticCurveParams, v: complex,
                       order: int) -> List[complex]:
-    """Derivatives d^k/dv^k log theta_1(v) for k = 1..order.
+    """Derivatives d^k/dv^k log theta_1(v) for k = 1..order."""
+    return _log_derivs(_theta_derivs(v, params.nome, order))
+
+
+def _log_derivs(t: List[complex]) -> List[complex]:
+    """d^k/dv^k log theta_1 for k = 1..len(t) - 1 from theta_1 and its
+    derivatives t at a point.
 
     Uses theta^{(k)} = sum_j C(k-1, j) u^{(k-j)} theta^{(j)} with
     u = log theta_1, solved upward for the u-derivatives.
     """
-    t = _theta_derivs(v, params.nome, order)
     t0 = t[0]
     if abs(t0) < 1e-13 * (abs(t[1]) + abs(t0) + 1e-300):
         raise EllipticError("evaluation too close to a lattice point")
+    order = len(t) - 1
     u = [0j] * (order + 1)  # u[k] = u^{(k)}, u[0] unused
     for k in range(1, order + 1):
         acc = t[k]
@@ -312,17 +353,39 @@ def _eval(params: EllipticCurveParams, which: str, z: complex,
         raise EllipticError(f"unknown function {which!r}")
     if not 0 <= m <= 6:
         raise EllipticError("wp derivative order must lie in 0..6")
+    v = _wp_point(params, z)
+    return _wp_value(params, _theta_derivs(v, params.nome, m + 2), m)
+
+
+def _wp_point(params: EllipticCurveParams, z: complex) -> complex:
+    """The theta_1 argument of wp at z, off the lattice."""
     zr = params.reduce(z)
     if abs(zr) < 1e-9 * params.min_period:
         raise EllipticError("wp evaluated at a lattice point")
-    v = math.pi * zr / params.omega1
-    u = _log_theta_derivs(params, v, m + 2)
-    scale = (math.pi / params.omega1) ** (m + 2)
-    val = -scale * u[m + 2]
-    if m == 0:
-        val += (math.pi / params.omega1) ** 2 \
-            * params.th1ppp / (3.0 * params.th1p)
-    return val
+    return math.pi * zr / params.omega1
+
+
+def _wp_value(params: EllipticCurveParams, t: List[complex],
+              m: int) -> complex:
+    """wp^(m) from theta_1 and its first m + 2 derivatives t."""
+    u = _log_derivs(t)
+    scales = params._wp_scales
+    # past the table the power overflows, and raises as it always did
+    val = -(scales[m] if m < len(scales)
+            else (math.pi / params.omega1) ** (m + 2)) * u[m + 2]
+    return val + params._wp_const if m == 0 else val
+
+
+def _wp_orders(params: EllipticCurveParams, z: complex,
+               m_max: int) -> Optional[List[complex]]:
+    """wp^(m)(z) for m = 0..m_max from one theta_1 pass at order m_max + 2,
+    each order read at its own stop, so each is eval_elliptic's value;
+    None where the pass raises (an order may still evaluate on its own)."""
+    try:
+        series = _theta_series(_wp_point(params, z), params.nome, 2, m_max + 2)
+        return [_wp_value(params, series[m + 2], m) for m in range(m_max + 1)]
+    except (ArithmeticError, EllipticError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +604,7 @@ def check_elliptic(params: EllipticCurveParams, datum: RootDatum,
 
 
 _NODES = 256  # trapezoid nodes on a residue circle
+_RADIUS = 0.05  # first residue circle radius, in units of min_period
 _PROBES = 6  # probe points per function in the bounded-off-divisors check
 # exp(2 pi i k / N) on the unit circle, for the residue and probe circles
 _RESIDUE_NODES = [cmath.exp(2j * math.pi * k / _NODES) for k in range(_NODES)]
@@ -551,7 +615,7 @@ def _contour_residue(params: EllipticCurveParams,
                      f: Callable[[complex], complex]) -> complex:
     """Residue of f at the origin by the trapezoid rule, shrinking the
     circle when it touches another singularity."""
-    radius = 0.05 * params.min_period
+    radius = _RADIUS * params.min_period
     for _ in range(6):
         try:
             vals = []
@@ -625,6 +689,20 @@ def verify_prop46(params: EllipticCurveParams, m_max: int = 6,
     def zero(t: complex) -> complex:
         return 0j
 
+    # every order reads wp(t - xi) at each node of the first residue
+    # circle, so one theta pass per node serves them all; other points, and
+    # a node where that pass raises, are evaluated order by order, so each
+    # order keeps its own value or error
+    radius = _RADIUS * params.min_period
+    nodes = dict.fromkeys([radius * node for node in _RESIDUE_NODES], ())
+
+    def wp_at(t: complex, m: int) -> complex:
+        vals = nodes.get(t)
+        if vals == ():
+            vals = nodes[t] = _wp_orders(params, t - xi, m_max)
+        return eval_elliptic(params, "wp", t - xi, m) if vals is None \
+            else vals[m]
+
     elements: List[Tuple[str, Callable, Callable]] = [
         ("[1]", lambda t: 1.0 + 0j, zero),
         ("sigma", *_rank_one_pair(params, _sn_memo(params))),
@@ -632,8 +710,7 @@ def verify_prop46(params: EllipticCurveParams, m_max: int = 6,
     for m in range(m_max + 1):
         # one memo per order, shared by the [1] and [s] elements: their
         # contours use the same nodes, and the shift is its value at c
-        wp_m = functools.cache(
-            lambda t, m=m: eval_elliptic(params, "wp", t - xi, m))
+        wp_m = functools.cache(lambda t, m=m: wp_at(t, m))
         shift = wp_m(c)
         elements.append((f"wp({m})(t-xi)[1]", wp_m, zero))
         elements.append((f"(wp({m})(t-xi)-wp({m})(-2q-xi))[s]", zero,

@@ -973,10 +973,9 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         if self.datum is other.datum and not self.datum.relaxed:
-            a, b = self.den, other.den
-            return (len(a) == len(b)
-                    and all(b.get(key, (0,))[0] == m for key, (m, _) in a.items())
-                    and self.num == other.num)
+            # a key's character fixes its root, so the stored (m, root)
+            # values agree exactly when the multiplicities do
+            return self.den == other.den and self.num == other.num
         return (self - other).is_zero()
 
     def weyl_transform(self, w) -> "RatFunc":

@@ -227,6 +227,83 @@ def test_series_bitwise_equal_to_the_reference():
         assert _outcome(elliptic._theta_derivs, 0.3 + 1.5j, 0.99, order) == want
 
 
+def test_shared_series_bitwise_equal_per_order():
+    # one pass up to order 8, read at each order's own stop, is the series
+    # run at that order alone; where the pass raises, some order raises
+    # the same.  The grid above; on |nome| 0.73, pi/3, where the summands
+    # with 3 | k are tiny between ones that are not (so a tiny run must
+    # restart), and a zero of theta_1'', where the summands the lower
+    # orders stop before still move theta_1''; a nome near 1 that does
+    # not converge; and a point where order 2 stops before the sine of a
+    # late summand overflows while order 8 reaches it
+    rng = random.Random(23)
+    points = []
+    for tau in (1j, 0.3 + 1.1j, 0.1j, 5j, 60j):
+        nome = EllipticCurveParams(1.0, tau, 0.23 + 0.11j).nome
+        for _ in range(10):
+            points.append((math.pi * complex(rng.uniform(-0.5, 0.5), 0)
+                           + math.pi * tau * rng.uniform(-3.0, 3.0), nome))
+    nome = EllipticCurveParams(1.0, 0.1j, 0.23 + 0.11j).nome
+    points += [(math.pi / 3 + 0j, nome), (1.1744635964486048 + 0j, nome)]
+    points.append((0.3 + 1.5j, 0.99))
+    points.append((0.38317350349431956 - 78.83006013726305j,
+                   cmath.exp(-math.pi * 10.611882874852586)))
+    kinds = Counter()
+    for v, nome in points:
+        want = [_outcome(_reference_theta_derivs, v, nome, order)
+                for order in range(9)]
+        for low in range(9):
+            try:
+                got = elliptic._theta_series(v, nome, low, 8)
+            except (OverflowError, EllipticError) as exc:
+                assert (type(exc), str(exc)) in want[low:], (v, low)
+                kinds["mixed" if not isinstance(want[low], tuple)
+                      else "raised"] += 1
+                continue
+            assert sorted(got) == list(range(low, 9))
+            for order in range(low, 9):
+                assert _outcome(got.__getitem__, order) == want[order], (
+                    v, low, order)
+            kinds["ok"] += 1
+    assert kinds["ok"] > 300 and kinds["raised"] > 0 and kinds["mixed"] > 0
+
+
+@pytest.mark.parametrize("lattice", ["SQUARE", "SKEW"])
+def test_wp_orders_equal_eval_on_the_residue_nodes(lattice):
+    params = _params({"SQUARE": SQUARE, "SKEW": SKEW}[lattice])
+    radius = elliptic._RADIUS * params.min_period
+    for node in elliptic._RESIDUE_NODES:
+        z = radius * node - params.xi
+        want = [eval_elliptic(params, "wp", z, m) for m in range(7)]
+        for m_max in range(7):
+            got = elliptic._wp_orders(params, z, m_max)
+            assert _outcome(lambda: got) == _outcome(
+                lambda: want[:m_max + 1]), (node, m_max)
+
+
+def test_prop46_nodes_whose_shared_pass_raises_run_order_by_order(
+        monkeypatch):
+    params = _params(SQUARE)
+    for z in (0j, params.omega1 + params.omega2):
+        assert elliptic._wp_orders(params, z, 6) is None
+    # with every shared pass raising, each node is evaluated order by
+    # order, and the prop46 report keeps its pinned bytes
+    series = elliptic._theta_series
+
+    def failing(v, nome, low, top):
+        if low < top:
+            raise OverflowError("math range error")
+        return series(v, nome, low, top)
+
+    monkeypatch.setattr(elliptic, "_theta_series", failing)
+    assert elliptic._wp_orders(params, 0.31 + 0.17j, 6) is None
+    rep = verify_prop46(params, m_max=6, seed=0)
+    text = dump_report({"suite": "prop46", "ok": rep.ok,
+                        "entries": rep.to_list()})
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _REPORT_SHA256["SQUARE", "prop46"]
+
+
 def test_sn_divisor_and_symmetry():
     params = _params(SQUARE)
     # unit derivative at the origin, second zero at the marked 2-torsion
@@ -396,6 +473,30 @@ def test_report_bytes_pinned(lattice):
                             "entries": rep.to_list()})
         assert hashlib.sha256(text.encode()).hexdigest() \
             == _REPORT_SHA256[lattice, suite], suite
+
+
+# the shrink path of the residue contours, where the shared per-node pass
+# hands over to evaluation order by order: pinned before the per-node pass
+# was added; 0.3j is expected to change with ROADMAP item 8 step 2
+@pytest.mark.parametrize("tau", [0.1j, 0.2j, 0.3j])
+def test_prop46_shrink_refusal_pinned(tau):
+    params = EllipticCurveParams(1.0, tau, 0.23 + 0.11j)
+    with pytest.raises(EllipticError,
+                       match="^contour kept touching a pole while shrinking$"):
+        verify_prop46(params, m_max=6, seed=0)
+
+
+@pytest.mark.parametrize("tau, sha", [
+    (0.5j, "00e7ec8046c3a061fb100cebb6d5d436b0730ea58df3f97dd3223bf8cafae2b9"),
+    (0.2 + 0.8j,
+     "e6cf66d16c018f71539b89a7b206d2e45aa8ad8d5c90e576ae2b50aa0d17eda7"),
+])
+def test_prop46_report_bytes_pinned_at_low_tau(tau, sha):
+    rep = verify_prop46(EllipticCurveParams(1.0, tau, 0.23 + 0.11j),
+                        m_max=6, seed=0)
+    text = dump_report({"suite": "prop46", "ok": rep.ok,
+                        "entries": rep.to_list()})
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 def test_numeric_entry_constructors_repr_and_equality():
