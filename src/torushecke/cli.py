@@ -123,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "elliptic companion")
     sub = top.add_subparsers(dest="command", required=True)
 
-    presets = ("preset name (A1, A2, B2, G2, A1aff, A2aff, optionally -der) "
-               "or datum JSON file")
+    presets = "preset name (A1, A2, B2, G2, A1aff, A2aff) or datum JSON file"
 
     def command(name, run, summary, **datum):
         p = sub.add_parser(name, help=summary)

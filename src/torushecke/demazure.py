@@ -186,32 +186,24 @@ def normal_form(x: AlgebraElement) -> NormalForm:
 def _leading_scalar(datum: RootDatum, w: WeylElt, f: RatFunc) -> QScalar:
     """The scalar f / theta_w, via exact divisions; NotInSpan on failure.
 
-    Clearing multiplies f by (t^gamma - 1) for each gamma in D(w).  Unless
-    the datum is ``relaxed``, distinct denominator keys cut coprime
-    binomials, so the product cancels only against the key (2 gamma, 1):
-    one multiplicity of that key is dropped when it is there, and the
-    numerator takes the binomial when it is not.  On relaxed data a key
-    of character -2 gamma cuts the same divisor, so the product and its
-    cancellation pass run in full.
+    Clearing multiplies f by (t^gamma - 1) for each gamma in D(w).
+    Distinct denominator keys cut coprime binomials, so the product
+    cancels only against the key (2 gamma, 1): one multiplicity of that
+    key is dropped when it is there, and the numerator takes the binomial
+    when it is not.
     """
     inv = inversion_set(datum, w)
-    if datum.relaxed:
-        cleared = f
-        for gamma in inv:
-            dchar = tuple(2 * x for x in gamma.char)
-            cleared = cleared * expand_den_factor(datum.rank, dchar, _ONE, 1)
-    else:
-        num, den = f.num, dict(f.den)
-        for gamma in inv:
-            key = (tuple(2 * x for x in gamma.char), _ONE)
-            got = den.get(key)
-            if got is None:
-                num = num * expand_den_factor(datum.rank, key[0], _ONE, 1)
-            elif got[0] == 1:
-                del den[key]
-            else:
-                den[key] = (got[0] - 1, got[1])
-        cleared = RatFunc(datum, num, den)
+    num, den = f.num, dict(f.den)
+    for gamma in inv:
+        key = (tuple(2 * x for x in gamma.char), _ONE)
+        got = den.get(key)
+        if got is None:
+            num = num * expand_den_factor(datum.rank, key[0], _ONE, 1)
+        elif got[0] == 1:
+            del den[key]
+        else:
+            den[key] = (got[0] - 1, got[1])
+    cleared = RatFunc(datum, num, den)
     if not cleared.is_polynomial():
         fac = cleared.factors()[0]
         raise NotInSpan(

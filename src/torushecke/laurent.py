@@ -90,13 +90,13 @@ polynomial to every later caller: a sum over unequal denominators
 expands its missing factors by lookup.  A power past the exponent
 bound raises on every call and is never kept.
 
-On data that are not ``relaxed`` the reduced form is canonical.  Simple
-roots are Z-independent and positive real roots pairwise non-proportional,
-so the binomials of two distinct keys are coprime; then two reduced forms
-of one function (no stored binomial divides the numerator) have the same
-keys, multiplicities and numerator (if b^m and b^n, m > n, exactly divide
-the two denominators, cross-multiplying puts b in a numerator).  Four
-things use it:
+The reduced form is canonical.  Simple roots are Z-independent and
+positive real roots pairwise non-proportional, so the binomials of two
+distinct keys are coprime; then two reduced forms of one function (no
+stored binomial divides the numerator) have the same keys, multiplicities
+and numerator (if b^m and b^n, m > n, exactly divide the two
+denominators, cross-multiplying puts b in a numerator).  Four things use
+it:
 
 - sums: a key whose multiplicities differ in the operands cannot cancel,
   so only keys of equal multiplicity are tried;
@@ -110,12 +110,6 @@ things use it:
   the numerator from a second table;
 - residue pairs: ``check_membership`` compares the keys at t^alpha = 1
   and decides the rest by one restriction, without forming the sum.
-
-On a degenerate (derived, ``relaxed``) affine realization distinct real
-roots can share a character vector up to sign, so distinct stored factors
-may cut the same divisor: sums there try every key and equality
-subtracts.  The full realizations used by the verification suites never
-do, and ``check_membership`` refuses derived data.
 """
 
 from __future__ import annotations
@@ -783,16 +777,15 @@ class RatFunc:
     divisors; negation; multiplication by a nonzero scalar).  Sums,
     products and ``with_den_factor`` cancel the new factors that divide
     the numerator before they return.  Products lean on it: a factor of
-    one operand can only cancel against the other numerator.  Unless the
-    datum is ``relaxed``, distinct keys cut coprime binomials, so the
-    reduced form is canonical: sums try only keys of equal multiplicity,
-    ``==`` compares keys, multiplicities and numerators, and each
-    ``weyl_transform`` image is kept on the instance (the identity's is
-    the instance itself).  ``with_den_factor`` and ``weyl_transform``
-    place a factor through one helper, ``_place_factor``, which flips a
-    negative root and reads the sign unit it moves into the numerator
-    from a per-datum table; twists read the images of stored roots from
-    another.
+    one operand can only cancel against the other numerator.  Distinct
+    keys cut coprime binomials, so the reduced form is canonical: sums
+    try only keys of equal multiplicity, ``==`` compares keys,
+    multiplicities and numerators, and each ``weyl_transform`` image is
+    kept on the instance (the identity's is the instance itself).
+    ``with_den_factor`` and ``weyl_transform`` place a factor through one
+    helper, ``_place_factor``, which flips a negative root and reads the
+    sign unit it moves into the numerator from a per-datum table; twists
+    read the images of stored roots from another.
     """
 
     # _twists: {group element: ^w self}, created by the first weyl_transform
@@ -840,8 +833,8 @@ class RatFunc:
 
     # reduction
 
-    def _reduce(self, keys=None):
-        """Cancel the factors in keys (default: all) that divide num.
+    def _reduce(self, keys):
+        """Cancel the factors in keys that divide num.
 
         Each trial division is first screened by one coefficient of the
         restriction of num to the divisor (``_restriction_coefficient``):
@@ -850,7 +843,7 @@ class RatFunc:
         """
         num = self.num
         den = self.den
-        for key in list(den) if keys is None else keys:
+        for key in keys:
             m, rep = den[key]
             dchar, target = key
             while m:
@@ -901,7 +894,7 @@ class RatFunc:
         (m > n) exactly divide the two denominators, b divides the new
         numerator only if it divides the first one, since the other
         factors are prime to b.  So only keys of equal multiplicity are
-        tried, except on relaxed data, where two keys can share a divisor.
+        tried.
         """
         if self.is_zero():
             return other
@@ -932,7 +925,7 @@ class RatFunc:
         b = other.num if b_extra is None else other.num * b_extra
         out = RatFunc(self.datum, a + b, union)
         if out.den:
-            out._reduce(None if self.datum.relaxed else equal)
+            out._reduce(equal)
         return out
 
     def __neg__(self) -> "RatFunc":
@@ -969,10 +962,11 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        """Compare reduced forms, which are canonical unless data are relaxed."""
+        """Compare reduced forms, which are canonical; operands over
+        different data compare by subtraction."""
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.datum is other.datum and not self.datum.relaxed:
+        if self.datum is other.datum:
             # a key's character fixes its root, so the stored (m, root)
             # values agree exactly when the multiplicities do
             return self.den == other.den and self.num == other.num

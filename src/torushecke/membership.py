@@ -10,19 +10,18 @@ f_w to vanish on t^gamma = q^-2 for every gamma in the inversion set
 of its group term (condition "1.3.3").
 
 Residue cancellation is checked without computing residues or the pair
-sum.  Membership refuses ``relaxed`` data, so distinct denominator keys
-cut coprime binomials and reduced forms are canonical.  A reduced f_w
-and f_{s_alpha w} then have opposite residues along t^alpha = 1 exactly
-when both or neither have a pole there: a pole on one side only cannot
-cancel.  When both have one, write the pair sum as
-(a E_a + b E_b) / (t^alpha - 1) D, where E_a and E_b are the factors of
-the other side's denominator that each side lacks; the residues cancel
-exactly when t^alpha - 1 divides a E_a + b E_b.  Restriction to the
-divisor is a ring homomorphism, so the numerators and the missing
-factors are restricted first and the restrictions multiplied; when the
-other keys agree, one restriction of a + b decides it.  Each missing
-factor is restricted afresh: restricted factors are not kept, since a
-table of them did not pay.
+sum.  Distinct denominator keys cut coprime binomials, so reduced forms
+are canonical.  A reduced f_w and f_{s_alpha w} then have opposite
+residues along t^alpha = 1 exactly when both or neither have a pole
+there: a pole on one side only cannot cancel.  When both have one,
+write the pair sum as (a E_a + b E_b) / (t^alpha - 1) D, where E_a and
+E_b are the factors of the other side's denominator that each side
+lacks; the residues cancel exactly when t^alpha - 1 divides
+a E_a + b E_b.  Restriction to the divisor is a ring homomorphism, so
+the numerators and the missing factors are restricted first and the
+restrictions multiplied; when the other keys agree, one restriction of
+a + b decides it.  Each missing factor is restricted afresh: restricted
+factors are not kept, since a table of them did not pay.
 
 "1.3.1" is decided in one pass over each coefficient's denominator,
 which also fills the residue scan; only that coefficient's violations
@@ -37,8 +36,7 @@ from __future__ import annotations
 from .algebra import AlgebraElement
 from .laurent import (RatFunc, expand_den_factor, restrict_to_divisor,
                       vanishes_on_divisor)
-from .rootdata import (RootDatumError, inversion_set, multiply_elts,
-                       reflection_of_root)
+from .rootdata import inversion_set, multiply_elts, reflection_of_root
 from .scalars import QScalar, scalar_str
 
 __all__ = ["Violation", "MembershipReport", "check_membership",
@@ -102,13 +100,6 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     datum = x.datum
-    # on the derived quotient the null character is zero, so alpha_0 and
-    # -theta share a character and one divisor would be split in two; the
-    # pair rule of "1.3.2" needs distinct keys to cut coprime binomials
-    if datum.relaxed:
-        raise RootDatumError(
-            "membership needs the full realization; the derived quotient has "
-            "no null character, so distinct roots share a divisor")
     violations, scan, overorder = _pole_scan(x)
     # "1.3.2": pair residues must cancel; meaningless where "1.3.1"
     # already failed at that root, so those roots are skipped
@@ -178,10 +169,10 @@ def _pole_scan(x: AlgebraElement) -> tuple[list[Violation], dict, set]:
 def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
     """Whether f + g is regular along t^alpha = 1, without forming the sum.
 
-    f and g are reduced, on data that are not relaxed, with at most a
-    simple pole there.  Unequal multiplicities are decided by the keys;
-    for two simple poles, t^alpha - 1 must divide a E_a + b E_b as in
-    ``RatFunc.__add__``, which is tested on the restriction.
+    f and g are reduced, with at most a simple pole there.  Unequal
+    multiplicities are decided by the keys; for two simple poles,
+    t^alpha - 1 must divide a E_a + b E_b as in ``RatFunc.__add__``,
+    which is tested on the restriction.
     """
     mult = f.pole_mult(dchar, _ONE)
     if mult != g.pole_mult(dchar, _ONE):
@@ -232,7 +223,7 @@ def delta_criterion(x: AlgebraElement) -> MembershipReport:
     of any Kac-Moody Weyl group (V. Kac, Infinite-dimensional Lie
     algebras, Lemma 3.11).  So affine data run as finite data do,
     although their Delta would be a product over infinitely many
-    positive roots.  Relaxed data are refused by ``check_membership``.
+    positive roots.
     """
     report = check_membership(x.conjugate_by_delta(), "htilde")
     return MembershipReport("htilde", _pole_scan(x)[0] + report.violations,

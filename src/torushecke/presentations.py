@@ -335,17 +335,14 @@ def verify_finite_suite(datum: RootDatum) -> RelationReport:
 
 
 def verify_daha_suite(datum: RootDatum) -> RelationReport:
-    """Relations of the double affine presentation in the full realization.
+    """Relations of the double affine presentation.
 
-    Needs affine data whose character lattice actually contains the
-    null character (the default affine presets, not the -der variants).
-    The samples are the level-zero finite weights of ``_samples``.
+    Needs affine data, whose character lattice contains the null
+    character.  The samples are the level-zero finite weights of
+    ``_samples``.
     """
     if datum.kind != "affine":
         raise ValueError("daha suite needs affine data")
-    if datum.relaxed:
-        raise ValueError("daha suite needs the full realization; "
-                         "the derived quotient has no null character")
     delta = datum.affine.delta_char
     samples = _samples(datum)
     theta = datum.affine.theta
@@ -411,7 +408,7 @@ def delta_criterion_suite(datum: RootDatum, count: int = 100,
 
     The criterion reads only ^w(Delta)/Delta, a product over the finite
     inversion set of each group term, so affine data run as finite data
-    do; membership refuses the relaxed ones.
+    do.
     """
     rng = random.Random(seed)
     entries = []

@@ -47,13 +47,11 @@ __all__ = [
     "inversion_set",
     "left_descents",
     "bruhat_leq",
-    "real_roots_up_to_height",
     "root_orbit",
     "positive_real_roots_up_to_height",
     "is_real_root",
     "all_positive_roots",
     "highest_root",
-    "act_on_character",
     "char_matrix",
     "reflection_of_root",
     "coroot_of_root",
@@ -357,14 +355,12 @@ class RootDatum:
     """
 
     def __init__(self, cartan: CartanMatrix, kind: str,
-                 simple_roots: tuple[Vec, ...], simple_coroots: tuple[Vec, ...],
-                 relaxed: bool = False):
+                 simple_roots: tuple[Vec, ...], simple_coroots: tuple[Vec, ...]):
         self.cartan = cartan
         self.kind = kind
         self.simple_roots = simple_roots
         self.simple_coroots = simple_coroots
         self.affine: AffineData | None = None  # set by build_datum
-        self.relaxed = relaxed
         self.n = cartan.n
         self.rank = len(simple_roots[0]) if simple_roots else 0
         self.labels = tuple(range(self.n)) if kind == "affine" else tuple(
@@ -406,15 +402,14 @@ class RootDatum:
                     raise RootDatumError(
                         f"pairing <coroot_{i}, root_{j}> does not match the Cartan matrix"
                     )
-        if not self.relaxed:
-            if len(_eliminate(self.simple_roots)[1]) != n:
-                raise RootDatumError("simple roots are not Z-independent")
-            if len(_eliminate(self.simple_coroots)[1]) != n:
-                raise RootDatumError("simple coroots are not Z-independent")
-            if r + len(_eliminate(self.cartan.entries)[1]) != 2 * n:
-                raise RootDatumError(
-                    f"lattice rank {r} violates rank(X) + rank(A) = 2n"
-                )
+        if len(_eliminate(self.simple_roots)[1]) != n:
+            raise RootDatumError("simple roots are not Z-independent")
+        if len(_eliminate(self.simple_coroots)[1]) != n:
+            raise RootDatumError("simple coroots are not Z-independent")
+        if r + len(_eliminate(self.cartan.entries)[1]) != 2 * n:
+            raise RootDatumError(
+                f"lattice rank {r} violates rank(X) + rank(A) = 2n"
+            )
 
     # -- small helpers -------------------------------------------------
 
@@ -495,24 +490,19 @@ PRESET_MATRICES = {
 def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
     """Build a root datum for A.
 
-    choice: "default" (finite: weight-lattice realization; affine: full
-    realization with a scaling cocharacter), "derived" (affine only: the
-    degenerate realization spanned by the coroots, in which the null root
-    becomes the zero character -- rank axioms are relaxed and the
-    verification suites do not support it), or an explicit
-    {"roots": [...], "coroots": [...]} pair.
+    choice: "default" (finite: weight-lattice realization; affine: the
+    realization of dimension 2n - rank A, with a scaling cocharacter), or
+    an explicit {"roots": [...], "coroots": [...]} pair.
     """
     kind, marks_comarks = _classify(A)
     n = A.n
     if isinstance(choice, dict):
         roots = tuple(tuple(int(x) for x in v) for v in choice["roots"])
         coroots = tuple(tuple(int(x) for x in v) for v in choice["coroots"])
-    elif choice in ("default", "derived"):
-        if choice == "derived" and kind != "affine":
-            raise RootDatumError("the derived realization only exists for affine kind")
-        # the full affine realization adds one coordinate, the pairing
-        # with a scaling cocharacter d: <d, alpha_j> = 1 for j = 0, else 0
-        scaling = kind == "affine" and choice == "default"
+    elif choice == "default":
+        # the affine realization adds one coordinate, the pairing with a
+        # scaling cocharacter d: <d, alpha_j> = 1 for j = 0, else 0
+        scaling = kind == "affine"
         extra = [(1,)] + [(0,)] * (n - 1) if scaling else [()] * n
         roots = tuple(
             tuple(A.entries[i][j] for i in range(n)) + extra[j] for j in range(n)
@@ -523,7 +513,7 @@ def build_datum(A: CartanMatrix, choice="default") -> RootDatum:
         )
     else:
         raise RootDatumError(f"unknown lattice choice {choice!r}")
-    datum = RootDatum(A, kind, roots, coroots, relaxed=choice == "derived")
+    datum = RootDatum(A, kind, roots, coroots)
     if kind == "affine":
         datum.affine = _make_affine_data(datum, *marks_comarks)
     return datum
@@ -544,17 +534,10 @@ def _make_affine_data(datum: RootDatum, marks, comarks) -> AffineData:
 
 
 def preset_datum(name: str) -> RootDatum:
-    """Named data: A1, A2, B2, G2, A1aff, A2aff (+ '-der' derived variants)."""
-    base, _, variant = name.partition("-")
-    if base not in PRESET_MATRICES:
+    """Named data: A1, A2, B2, G2, A1aff, A2aff, default realization."""
+    if name not in PRESET_MATRICES:
         raise RootDatumError(f"unknown preset {name!r}")
-    entries = PRESET_MATRICES[base]
-    choice = "default"
-    if variant:
-        if variant != "der":
-            raise RootDatumError(f"unknown preset variant {name!r}")
-        choice = "derived"
-    return build_datum(CartanMatrix(entries), choice)
+    return build_datum(CartanMatrix(PRESET_MATRICES[name]))
 
 
 # -- Weyl group operations -------------------------------------------------
@@ -689,12 +672,6 @@ def root_orbit(datum: RootDatum, root: Root) -> tuple[Root, ...]:
     return orbit
 
 
-def real_roots_up_to_height(datum: RootDatum, h: int) -> list[Root]:
-    """All real roots with |height| <= h (positives then their negatives)."""
-    pos = positive_real_roots_up_to_height(datum, h)
-    return pos + [r.negate() for r in pos]
-
-
 def all_positive_roots(datum: RootDatum) -> tuple[Root, ...]:
     """Every positive root of a finite datum (cached): one orbit closure
     with no height bound, which ends because the datum is finite."""
@@ -721,10 +698,6 @@ def char_matrix(datum: RootDatum, w: WeylElt) -> Mat:
         m = _mat_mul(m, datum.refl_char[datum.pos(lab)])
     datum._charmat[w] = m
     return m
-
-
-def act_on_character(datum: RootDatum, w: WeylElt, lam) -> Vec:
-    return _mat_vec(char_matrix(datum, w), tuple(lam))
 
 
 def coroot_of_root(datum: RootDatum, root: Root) -> Vec:

@@ -42,6 +42,8 @@ from torushecke.laurent import (  # noqa: E402
     restrict_to_divisor,
 )
 from torushecke.rootdata import (  # noqa: E402
+    CartanMatrix,
+    build_datum,
     canonicalize_word,
     positive_real_roots_up_to_height,
     preset_datum,
@@ -263,8 +265,15 @@ def test_lone_line_certificate_is_not_vacuous():
 
 SQUARE_ROOTS = {ONE: ONE, Q ** 2: Q, Q ** -2: Q ** -1}
 
-# data with shared characters up to sign (the -der presets) included
-PRODUCT_DATA = ("A2", "B2", "A2aff", "A1aff-der", "A2aff-der")
+# finite and affine data of ranks 2 and 3
+PRODUCT_DATA = ("A2", "B2", "A2aff", "A1aff", "G2aff")
+
+
+def _datum(name):
+    """A preset, or affine G2 (no preset) built from its matrix."""
+    if name == "G2aff":
+        return build_datum(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -3, 2]]))
+    return preset_datum(name)
 
 
 def _trial_divided(num, den):
@@ -305,7 +314,7 @@ def reduced_functions(draw, datum, roots):
 @st.composite
 def product_cases(draw):
     name = draw(st.sampled_from(PRODUCT_DATA))
-    datum = preset_datum(name)
+    datum = _datum(name)
     roots = positive_real_roots_up_to_height(datum, 2)
     roots = roots + [r.negate() for r in roots[:2]]
     rank = datum.rank
@@ -350,9 +359,7 @@ def test_products_match_full_trial_division(case):
         _same(f * poly, *_trial_divided(f.num * poly, f.den))
 
 
-# G2 and both -der presets as well: the -der data store one divisor under
-# two keys, so their sums still try every key
-SUM_DATA = ("A2", "B2", "G2", "A2aff", "A1aff-der", "A2aff-der")
+SUM_DATA = PRODUCT_DATA + ("G2",)
 
 
 @st.composite
@@ -362,7 +369,7 @@ def sum_cases(draw, name):
     g shares a key with f at equal or unequal multiplicity, or is h - f,
     so that f + g cancels back down to h.
     """
-    datum = preset_datum(name)
+    datum = _datum(name)
     roots = positive_real_roots_up_to_height(datum, 2)
     roots = roots + [r.negate() for r in roots[:2]]
     f, g, h = (draw(reduced_functions(datum, roots)) for _ in range(3))
@@ -456,22 +463,6 @@ def test_equality_agrees_with_subtraction(name, data):
         z = AlgebraElement(datum, {datum.identity: b})
         for u, v in ((x, y), (x, z), (y, z)):
             assert (u == v) is (u - v).is_zero()
-
-
-def test_equality_on_relaxed_data_sees_one_divisor_under_two_keys():
-    # on A1aff-der, t^alpha0 = t^-alpha1: 1/(t^alpha0 - c) is
-    # (-1/c) t^alpha1 / (t^alpha1 - 1/c), stored under another key
-    datum = preset_datum("A1aff-der")
-    a0, a1 = datum.simple_root_obj(0), datum.simple_root_obj(1)
-    assert a0.char == tuple(-x for x in a1.char)
-    c = Q ** 2
-    f = RatFunc.one(datum).with_den_factor(a0, c)
-    g = RatFunc.character(datum, a1.char, -c.inverse()).with_den_factor(
-        a1, c.inverse())
-    assert f.den.keys() != g.den.keys()
-    assert f == g and _sym_equal(f, g)
-    s = canonicalize_word(datum, (1,))
-    assert AlgebraElement(datum, {s: f}) == AlgebraElement(datum, {s: g})
 
 
 @pytest.mark.parametrize("name", SUM_DATA)

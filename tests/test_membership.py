@@ -10,9 +10,8 @@ from torushecke.laurent import (LaurentPoly, RatFunc, expand_den_factor,
                                 restrict_to_divisor, vanishes_on_divisor)
 from torushecke.membership import (_lift, _residues_cancel, check_membership,
                                    delta_criterion)
-from torushecke.rootdata import (CartanMatrix, RootDatumError, build_datum,
-                                 canonicalize_word, inversion_set,
-                                 multiply_elts,
+from torushecke.rootdata import (CartanMatrix, build_datum, canonicalize_word,
+                                 inversion_set, multiply_elts,
                                  positive_real_roots_up_to_height, preset_datum,
                                  reflection_of_root)
 from torushecke.sampling import (random_outlier, random_scalar,
@@ -127,11 +126,9 @@ def test_delta_criterion_checks_the_poles_of_x_itself(name):
 
 
 def test_delta_criterion_refuses_only_relaxed_data():
-    # the criterion reads ^w(Delta)/Delta over the finite set D(w), so the
-    # full affine realization is accepted; membership refuses the quotient
+    # the criterion reads ^w(Delta)/Delta over the finite set D(w), so
+    # affine data are accepted
     assert delta_criterion(AlgebraElement.identity(preset_datum("A1aff"))).ok
-    with pytest.raises(RootDatumError, match="full realization"):
-        delta_criterion(AlgebraElement.identity(preset_datum("A1aff-der")))
 
 
 # data by Cartan matrix, affine ones with the affine node first

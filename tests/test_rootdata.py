@@ -17,6 +17,7 @@ from torushecke.rootdata import (
     PRESET_MATRICES,
     RootDatumError,
     _eliminate,
+    _mat_vec,
     all_positive_roots,
     bruhat_leq,
     build_datum,
@@ -31,7 +32,6 @@ from torushecke.rootdata import (
     multiply_elts,
     positive_real_roots_up_to_height,
     preset_datum,
-    real_roots_up_to_height,
     reduced_words,
     reflection_of_root,
     weyl_ball,
@@ -161,11 +161,10 @@ def _symmetrizable_over_q(a):
 
 def _elimination_matrices():
     for name in PRESET_MATRICES:
-        for variant in ("", "-der") if name.endswith("aff") else ("",):
-            datum = preset_datum(name + variant)
-            yield datum.cartan.entries
-            yield datum.simple_roots
-            yield datum.simple_coroots
+        datum = preset_datum(name)
+        yield datum.cartan.entries
+        yield datum.simple_roots
+        yield datum.simple_coroots
     for entries, _ in REFUSALS:
         yield entries
         yield [row[1:] for row in entries[1:]]
@@ -497,7 +496,7 @@ def test_affine_real_roots_frozen():
     datum = preset_datum("A1aff")
     pos = positive_real_roots_up_to_height(datum, 3)
     assert [r.coords for r in pos] == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    assert len(real_roots_up_to_height(datum, 3)) == 8
+    assert len(pos + [r.negate() for r in pos]) == 8
     assert all(r.height <= 3 for r in pos)
     # null-root multiples never appear: every listed root is real
     delta = datum.affine.delta_char
@@ -531,10 +530,10 @@ def test_affine_invariants_frozen():
 
 
 def test_derived_realization():
-    datum = preset_datum("A1aff-der")
-    assert datum.relaxed
-    assert datum.rank == datum.n
-    assert not any(datum.affine.delta_char)
+    # the derived quotient, where the null root has the zero character,
+    # is not built: its name is an unknown preset
+    with pytest.raises(RootDatumError, match="unknown preset 'A1aff-der'"):
+        preset_datum("A1aff-der")
 
 
 def test_reflection_of_root_frozen():
@@ -548,15 +547,13 @@ def test_reflection_of_root_frozen():
 
 
 def test_act_on_character_matches_root_matrices():
-    from torushecke.rootdata import act_on_character
-
     for name in ("A2", "B2"):
         datum = preset_datum(name)
         for w in weyl_ball(datum, 4):
             for lab in datum.labels:
                 root = datum.simple_root_obj(lab)
                 moved = datum.apply_root_matrix(w, root)
-                assert act_on_character(datum, w, root.char) == moved.char
+                assert _mat_vec(char_matrix(datum, w), root.char) == moved.char
 
 
 def test_build_datum_choices():
@@ -567,6 +564,8 @@ def test_build_datum_choices():
         build_datum(a1, {"roots": [[1, -1]], "coroots": [[1, -1]]})
     with pytest.raises(RootDatumError):
         build_datum(a1, "derived")
+    with pytest.raises(RootDatumError, match="unknown lattice choice"):
+        build_datum(CartanMatrix(PRESET_MATRICES["A1aff"]), "derived")
     with pytest.raises(RootDatumError):
         build_datum(a1, "weights")
     with pytest.raises(RootDatumError):

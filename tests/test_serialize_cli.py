@@ -193,7 +193,9 @@ def test_cli_verify_mismatches_exit_2(capsys):
     assert run_cli(["verify", "-d", "A2", "--suite", "daha"]) == 2
     assert "affine" in capsys.readouterr().err
     assert run_cli(["verify", "-d", "A1aff-der", "--suite", "delta-criterion"]) == 2
-    assert "full realization" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "unknown preset 'A1aff-der'" in captured.err
+    assert captured.out == ""
     assert run_cli(["verify", "-d", "A2", "--suite", "nonsense"]) == 2
     assert run_cli([]) == 2
     assert run_cli(["check", "-d", "A1", "/nonexistent/elt.json"]) == 2
@@ -417,6 +419,12 @@ def test_cli_rejects_nonpositive_samples(suite, samples, capsys):
     ('{"cartan": [[2, -1], [-1, 2]], "roots": [[2, "z"], [-1, 2]],'
      ' "coroots": [[1, 0], [0, 1]]}', "'roots' must be a list"),
     ('{"cartan": [[2, -1], [-1, 2]], "choice": {}}', "'choice' must be"),
+    # the derived quotient of A1aff is no choice, and given explicitly its
+    # roots are dependent: no datum loaded from a file can be degenerate
+    ('{"cartan": [[2, -2], [-2, 2]], "choice": "derived"}',
+     "unknown lattice choice"),
+    ('{"cartan": [[2, -2], [-2, 2]], "roots": [[2, -2], [-2, 2]],'
+     ' "coroots": [[1, 0], [0, 1]]}', "not Z-independent"),
 ])
 def test_cli_datum_file_errors_exit_2(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"
@@ -573,18 +581,19 @@ def test_cli_malformed_element_files_exit_2(tmp_path, capsys, command, text,
 
 @pytest.mark.parametrize("preset", ["A1aff-der", "A2aff-der"])
 def test_cli_refuses_membership_on_derived_data(tmp_path, capsys, preset):
+    # the derived quotients are not presets
     assert run_cli(["verify", "-d", preset, "--suite", "membership-closure",
                     "--samples", "40"]) == 2
     captured = capsys.readouterr()
-    assert "null character" in captured.err
+    assert f"unknown preset {preset!r}" in captured.err
     assert captured.out == ""
 
-    datum = preset_datum(preset)
+    datum = preset_datum(preset.removesuffix("-der"))
     path = _write_element(tmp_path, "s01.json", sigma_along_word(datum, (0, 1)))
     for level in ("htilde", "hq"):
         assert run_cli(["check", "-d", preset, path, "--level", level]) == 2
         captured = capsys.readouterr()
-        assert "null character" in captured.err
+        assert f"unknown preset {preset!r}" in captured.err
         assert captured.out == ""
 
 
