@@ -40,13 +40,13 @@ __all__ = [
 
 def random_scalar(rng: random.Random) -> QScalar:
     """A nonzero element of Z[q, q^-1]: a polynomial of degree at most 2
-    with coefficients in -3..3, times q^-1, 1 or q."""
+    with coefficients in -3..3, times q^-1, 1 or q, built in canonical
+    form directly (``QScalar.laurent``), with no gcd and no multiply."""
     while True:
         coeffs = tuple(rng.randint(-3, 3) for _ in range(3))
         if any(coeffs):
             break
-    shift = rng.randint(-1, 1)
-    return QScalar(coeffs) * QScalar.q_power(shift)
+    return QScalar.laurent(rng.randint(-1, 1), coeffs)
 
 
 def random_weight(datum: RootDatum, rng: random.Random, span: int = 2):

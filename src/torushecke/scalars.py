@@ -250,9 +250,13 @@ def _make(v: int, n, d: Coeffs, h: int) -> "QScalar":
 
 def _scalar(v: int, n: Coeffs, d: Coeffs) -> "QScalar":
     """The scalar of a canonical triple: n is packed exactly when d = 1 and
-    the L1 norm of n is at most 2^(_LIMIT - 1)."""
+    the L1 norm of n is at most 2^(_LIMIT - 1); a zero numerator gives the
+    shared zero, whose bound is 0."""
     if d == _UNIT:
-        h = (sum(map(abs, n)) - 1).bit_length()
+        norm = sum(map(abs, n))
+        if not norm:
+            return _ZERO
+        h = (norm - 1).bit_length()
         if h < _LIMIT:
             return _make(v, _pack(n), _UNIT, h)
     return _make(v, n, d, _LIMIT)
@@ -291,7 +295,16 @@ class QScalar:
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return _scalar(0, (n,), _UNIT) if n else _ZERO
+        return _scalar(0, (n,), _UNIT)
+
+    @staticmethod
+    def laurent(v: int, coeffs) -> "QScalar":
+        """The Laurent polynomial sum_i coeffs[i] q^(v+i), built in
+        canonical form directly: over the unit denominator no gcd is due."""
+        if not any(coeffs):
+            return _ZERO
+        low = _low(coeffs)
+        return _scalar(v + low, _trim(coeffs[low:]), _UNIT)
 
     @staticmethod
     def q_power(k: int) -> "QScalar":

@@ -4,6 +4,10 @@ All dumps are deterministic: keys sorted, entries pre-sorted by the
 callers, floats already formatted as strings.  Exponents are stored in
 the doubled convention used internally, so half-integer characters
 survive a round trip unchanged.
+
+An element load parses each distinct scalar string once: the table of
+parsed strings lives for one call and keeps only what parsed, so every
+refusal still names its own entry.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import sys
 
 from .algebra import AlgebraElement
 from .laurent import LaurentError, LaurentPoly, RatFunc
-from .rootdata import (CartanMatrix, RootDatum, RootDatumError, build_datum,
-                       canonicalize_word, is_real_root,
-                       positive_real_roots_up_to_height, root_orbit,
-                       weyl_ball)
+from .rootdata import (CartanMatrix, CartanMatrixError, RootDatum,
+                       RootDatumError, build_datum, canonicalize_word,
+                       is_real_root, positive_real_roots_up_to_height,
+                       root_orbit, weyl_ball)
 from .scalars import (EXPONENT_BOUND, QScalar, ScalarParseError, parse_scalar,
                       scalar_str)
 
@@ -70,21 +74,27 @@ def _int_vector(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _scalar(value, where: str) -> QScalar:
+def _scalar(value, where: str, parsed: dict) -> QScalar:
+    """The scalar of a string, parsed once per load: ``parsed`` keeps
+    each string that parsed."""
     if not isinstance(value, str):
         raise SerializeError(f"{where}: expected a scalar string such as 'q^2-1'")
-    try:
-        return parse_scalar(value)
-    except ScalarParseError as exc:
-        raise SerializeError(f"{where}: {exc}") from None
+    x = parsed.get(value)
+    if x is None:
+        try:
+            x = parsed[value] = parse_scalar(value)
+        except ScalarParseError as exc:
+            raise SerializeError(f"{where}: {exc}") from None
+    return x
 
 
-def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> RatFunc:
+def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str,
+                        parsed: dict) -> RatFunc:
     terms: dict[tuple[int, ...], QScalar] = {}
     for j, tm in enumerate(_list(num_part, f"{where}.num")):
         at = f"{where}.num[{j}]"
         tm = _object(tm, at)
-        coef = _scalar(_field(tm, "coef", at), f"{at}.coef")
+        coef = _scalar(_field(tm, "coef", at), f"{at}.coef", parsed)
         exp = _int_vector(_field(tm, "exp", at), f"{at}.exp")
         if len(exp) != datum.rank:
             raise SerializeError(f"{at}: exponent length "
@@ -99,7 +109,7 @@ def _ratfunc_from_parts(datum: RootDatum, num_part, den_part, where: str) -> Rat
         at = f"{where}.den[{j}]"
         fac = _object(fac, at)
         coords = _int_vector(_field(fac, "root", at), f"{at}.root")
-        target = _scalar(_field(fac, "target", at), f"{at}.target")
+        target = _scalar(_field(fac, "target", at), f"{at}.target", parsed)
         mult = fac.get("mult", 1)
         if type(mult) is not int or mult < 0:
             raise SerializeError(f"{at}.mult: expected a nonnegative integer")
@@ -132,6 +142,7 @@ def element_from_dict(datum: RootDatum, data: dict) -> AlgebraElement:
     # one dict in the order a running sum would keep: a word whose sum
     # cancels is dropped, and goes to the end if it appears again
     terms: dict = {}
+    parsed: dict = {}
     for i, term in enumerate(_list(data["terms"], "terms")):
         where = f"terms[{i}]"
         term = _object(term, where)
@@ -141,7 +152,7 @@ def element_from_dict(datum: RootDatum, data: dict) -> AlgebraElement:
         except RootDatumError as exc:
             raise SerializeError(f"{where}.word: {exc}") from None
         f = _ratfunc_from_parts(datum, term.get("num", []),
-                                term.get("den", []), where)
+                                term.get("den", []), where, parsed)
         terms[w] = terms[w] + f if w in terms else f
         if terms[w].is_zero():
             del terms[w]
@@ -194,21 +205,25 @@ def datum_from_dict(data, source: str) -> RootDatum:
     string or explicit 'roots' and 'coroots', all entries JSON integers."""
     if not isinstance(data, dict) or "cartan" not in data:
         raise SerializeError(f"{source}: datum file needs a 'cartan' matrix")
-    cartan = CartanMatrix(_int_rows(data["cartan"], f"{source}: 'cartan'"))
-    choice = data.get("choice", "default")
-    if not isinstance(choice, str):
-        raise SerializeError(
-            f"{source}: 'choice' must be a string; give explicit "
-            "vectors as 'roots' and 'coroots'")
-    if "roots" in data or "coroots" in data:
-        for field in ("roots", "coroots"):
-            if field not in data:
-                raise SerializeError(
-                    f"{source}: 'roots' and 'coroots' come together; "
-                    f"{field!r} is missing")
-        choice = {field: _int_rows(data[field], f"{source}: {field!r}")
-                  for field in ("roots", "coroots")}
-    return build_datum(cartan, choice)
+    # the checks keep their order, and every refusal names the file
+    try:
+        cartan = CartanMatrix(_int_rows(data["cartan"], f"{source}: 'cartan'"))
+        choice = data.get("choice", "default")
+        if not isinstance(choice, str):
+            raise SerializeError(
+                f"{source}: 'choice' must be a string; give explicit "
+                "vectors as 'roots' and 'coroots'")
+        if "roots" in data or "coroots" in data:
+            for field in ("roots", "coroots"):
+                if field not in data:
+                    raise SerializeError(
+                        f"{source}: 'roots' and 'coroots' come together; "
+                        f"{field!r} is missing")
+            choice = {field: _int_rows(data[field], f"{source}: {field!r}")
+                      for field in ("roots", "coroots")}
+        return build_datum(cartan, choice)
+    except (CartanMatrixError, RootDatumError) as exc:
+        raise SerializeError(f"{source}: {exc}") from None
 
 
 def dump_report(payload: dict) -> str:

@@ -74,3 +74,26 @@ def test_samplers_match_the_product_chain(name):
                      for f in word.terms.values()}
             assert table.isdisjoint(map(id, got.terms.values()))
         assert rng.getstate() == ref.getstate()
+
+
+def _reference_random_scalar(rng):
+    """``random_scalar`` as a scalar product: the same draws, then the
+    coefficients reduced by ``QScalar`` and multiplied by q^shift."""
+    while True:
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(coeffs):
+            break
+    shift = rng.randint(-1, 1)
+    return QScalar(coeffs) * QScalar.q_power(shift)
+
+
+def test_random_scalar_matches_the_scalar_product():
+    # 1 000 draws at each of ten seeds; every field, the bound h included
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            got, want = random_scalar(rng), _reference_random_scalar(ref)
+            assert ((got.v, got.n, got.d, got.h)
+                    == (want.v, want.n, want.d, want.h))
+            assert hash(got) == hash(want)
+            assert rng.getstate() == ref.getstate()

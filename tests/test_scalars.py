@@ -250,6 +250,30 @@ def test_parse_poly_matches_the_reference_scanner():
     check()
 
 
+def test_every_zero_is_the_shared_zero():
+    zeros = [parse_scalar("0"), parse_scalar("q-q"), parse_scalar("0/q"),
+             parse_scalar("(q-q)/(q+1)"), QScalar((0,)), QScalar((0, 0), (2,)),
+             QScalar.from_int(0), QScalar.zero() ** 3,
+             (Q / (Q + ONE)) - (Q / (Q + ONE)), (Q - Q) * (ONE / (Q + ONE))]
+    for z in zeros:
+        assert z is QScalar.zero()
+        assert (z.v, z.n, z.d, z.h) == (0, 0, (1,), 0)
+        assert hash(z) == hash(QScalar.zero())
+
+
+def test_laurent_is_the_product_with_a_power_of_q():
+    # leading, trailing and only zeros, and numerators too wide to pack
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        cs = tuple(rng.choice((0, 0, 1, -1, 3, -2 ** 70))
+                   for _ in range(rng.randint(0, 5)))
+        v = rng.randint(-5, 5)
+        got = QScalar.laurent(v, cs)
+        want = QScalar(cs) * QScalar.q_power(v)
+        assert (got.v, got.n, got.d, got.h) == (want.v, want.n, want.d, want.h)
+        assert hash(got) == hash(want)
+
+
 def _hash_kinds(rng):
     """Seeded scalars of every stored form: packed numerators, general
     denominators (a tuple numerator), zero and parsed text."""

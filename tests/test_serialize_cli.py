@@ -2,19 +2,24 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import torushecke
+from torushecke import serialize
 from torushecke.algebra import AlgebraElement
 from torushecke.cli import run_cli
-from torushecke.demazure import normal_form, sigma_along_word
-from torushecke.laurent import RatFunc
-from torushecke.rootdata import canonicalize_word, preset_datum
+from torushecke.demazure import normal_form, sigma_along_word, sigma_of_element
+from torushecke.laurent import LaurentPoly, RatFunc
+from torushecke.rootdata import (all_positive_roots, canonicalize_word,
+                                 preset_datum, weyl_ball)
+from torushecke.sampling import random_scalar
 from torushecke.scalars import QScalar, parse_scalar
 from torushecke.serialize import (
     SerializeError,
@@ -425,13 +430,15 @@ def test_cli_rejects_nonpositive_samples(suite, samples, capsys):
      "unknown lattice choice"),
     ('{"cartan": [[2, -2], [-2, 2]], "roots": [[2, -2], [-2, 2]],'
      ' "coroots": [[1, 0], [0, 1]]}', "not Z-independent"),
+    ('{"cartan": [[2, -1], [-1, 2]], "roots": [[2, 0], [0, 2]],'
+     ' "coroots": [[1, 0], [0, 1]]}', "does not match the Cartan matrix"),
 ])
 def test_cli_datum_file_errors_exit_2(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
     assert run_cli(["datum", "-d", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {cfg}: ")
     assert needle in err
 
 
@@ -758,3 +765,112 @@ def test_element_from_dict_loads_in_linear_time():
         return best
 
     assert load_time(16000) / load_time(4000) < 8
+
+
+def test_a_repeated_root_is_bounded_at_each_factor(tmp_path, capsys):
+    # the second factor repeats the root [1, 0] of the first; its own mult
+    # is past the bound (alpha_1 spans 4 on A2), and the refusal names it
+    path = tmp_path / "again.json"
+    path.write_text(json.dumps({"terms": [{
+        "word": [1], "num": [{"coef": "1", "exp": [0, 0]}],
+        "den": [{"root": [1, 0], "target": "1", "mult": 1},
+                {"root": [1, 0], "target": "q^2", "mult": 2 ** 14}]}]}))
+    assert run_cli(["nf", "-d", "A2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: terms[0].den[1].mult: multiplicity 16384 is out of range: "
+        "mult * max|2 beta| must be below 65536\n")
+    assert captured.out == ""
+
+
+def test_a_repeated_bad_string_is_refused_at_its_first_entry():
+    datum = preset_datum("A2")
+    entries = [("1", "1"), ("q^+2", "1"), ("1", "q^+2"), ("q^+2", "q^+2")]
+    payload = {"terms": [
+        {"word": [], "num": [{"coef": coef, "exp": [0, 0]}],
+         "den": [{"root": [1, 0], "target": target}]}
+        for coef, target in entries]}
+    with pytest.raises(SerializeError) as info:
+        element_from_dict(datum, payload)
+    assert str(info.value) == (
+        "terms[1].num[0].coef: cannot parse scalar near '^+2'")
+    # the same string as a target, first met there
+    payload["terms"][1]["num"][0]["coef"] = "1"
+    with pytest.raises(SerializeError) as info:
+        element_from_dict(datum, payload)
+    assert str(info.value) == (
+        "terms[2].den[0].target: cannot parse scalar near '^+2'")
+
+
+def _reference_load(datum, data):
+    """A well-formed element file loaded entry by entry: every scalar
+    string parsed and every root built where it appears."""
+    terms = {}
+    for term in data["terms"]:
+        w = canonicalize_word(datum, term["word"])
+        num = {}
+        for tm in term.get("num", []):
+            exp, coef = tuple(tm["exp"]), parse_scalar(tm["coef"])
+            num[exp] = num[exp] + coef if exp in num else coef
+        f = RatFunc(datum, LaurentPoly(datum.rank, num))
+        for fac in term.get("den", []):
+            f = f.with_den_factor(datum.root_from_coords(fac["root"]),
+                                  parse_scalar(fac["target"]),
+                                  fac.get("mult", 1))
+        terms[w] = terms[w] + f if w in terms else f
+        if terms[w].is_zero():
+            del terms[w]
+    return terms
+
+
+def _seeded_nf_inputs(count):
+    """Elements built as the benchmark's normal-form inputs are: a top
+    group element and up to four below it, each sigma_w times a sampled
+    scalar, one in four on A2 and B2 over a general denominator."""
+    rng = random.Random(29)
+    out = []
+    for k in range(count):
+        datum = preset_datum(("A2", "B2", "G2")[k % 3])
+        whole = weyl_ball(datum, len(all_positive_roots(datum)))
+        top = whole[1 + k % (len(whole) - 1)]
+        below = whole[:whole.index(top)]
+        ws = [top] + rng.sample(below, min(len(below), 1 + k % 4))
+        coeffs = [random_scalar(rng) for _ in ws]
+        if k % 4 == 1 and k % 3 != 2:
+            coeffs[0] = coeffs[0] / parse_scalar(
+                ("1+q", "q^2+1", "q^2-q+1")[k % 3])
+        x = AlgebraElement.zero(datum)
+        for w, c in zip(ws, coeffs):
+            x = x + sigma_of_element(datum, w) * c
+        out.append((datum, element_to_dict(x)))
+    return out
+
+
+def test_a_load_parses_each_string_once():
+    datum, data = _seeded_nf_inputs(4)[3]
+    strings = {tm["coef"] for t in data["terms"] for tm in t["num"]}
+    strings |= {fac["target"] for t in data["terms"] for fac in t["den"]}
+    with mock.patch.object(serialize, "parse_scalar",
+                           wraps=serialize.parse_scalar) as parse:
+        x = element_from_dict(datum, data)
+    assert sorted(c.args[0] for c in parse.call_args_list) == sorted(strings)
+    assert list(x.terms) == list(_reference_load(datum, data))
+
+
+def test_element_from_dict_matches_a_load_entry_by_entry():
+    inputs = _seeded_nf_inputs(100)
+    # general denominators, and roots repeated across the terms of a file
+    assert any("/(" in tm["coef"] for _, data in inputs
+               for t in data["terms"] for tm in t["num"])
+    for _, data in inputs:
+        roots = [tuple(fac["root"]) for t in data["terms"] for fac in t["den"]]
+        assert len(set(roots)) < len(roots)
+    for datum, data in inputs:
+        got, want = element_from_dict(datum, data).terms, _reference_load(
+            datum, data)
+        assert list(got) == list(want)
+        for w, f in got.items():
+            g = want[w]
+            assert list(f.den.items()) == list(g.den.items())
+            assert list(f.num._keyed.items()) == list(g.num._keyed.items())
+            assert (f.num._v, f.num._h) == (g.num._v, g.num._h)
