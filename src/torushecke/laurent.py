@@ -56,7 +56,8 @@ the levels from the top.  Restriction to the divisor t^alpha = c folds
 each exponent into the bottom g levels.  The level is one int product:
 with U = u0_(n-1) + u0_(n-2) 2^48 + ... + u0_0 2^(48 (n-1)), digit n-1
 of K U is <u0, e>, read after rounding off the lower digits.  Both stay
-in the original coordinates; U is cached per character vector.
+in the original coordinates; U is cached per character vector, and
+so is the fold point of every key a restriction has met.
 
 In products most trial divisions are ruled out without dividing.  With
 alpha' = alpha / g, the lines e + Z alpha' split the exponents, and every
@@ -109,7 +110,10 @@ it:
   ``with_den_factor`` shares, which reads the sign unit it moves into
   the numerator from a second table;
 - residue pairs: ``check_membership`` compares the keys at t^alpha = 1
-  and decides the rest by one restriction, without forming the sum.
+  and decides the rest by ``sum_vanishes_on_divisor``, without forming
+  the sum: on ints it folds each numerator and missing factor onto
+  t^alpha = 1 (``_fold``, the loop ``restrict_to_divisor`` runs),
+  multiplies and sums the folds and tests the result for zero.
 """
 
 from __future__ import annotations
@@ -130,6 +134,7 @@ __all__ = [
     "divide_by_binomial",
     "restrict_to_divisor",
     "vanishes_on_divisor",
+    "sum_vanishes_on_divisor",
     "expand_den_factor",
 ]
 
@@ -290,12 +295,7 @@ class LaurentPoly:
         ints = x._v is not None and y._v is not None and h <= _LIMIT
         if not ints:
             a, b = _scalars(x), _scalars(y)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                acc = out.get(e)
-                out[e] = c1 * c2 if acc is None else acc + c1 * c2
+        out = _products(a, b)
         if ints:
             # Z[q, t] is a domain: the valuation is exactly x._v + y._v
             return _fit(self.rank, {e: c for e, c in out.items() if c},
@@ -427,6 +427,18 @@ def _scalars(p: LaurentPoly) -> dict:
     return {e: _coef(n, v, h) for e, n in p._keyed.items()}
 
 
+def _products(a: dict, b: dict) -> dict:
+    """{K: sum of a[K1] b[K2] over K1 + K2 = K} of two term dicts in one
+    form, sums that cancel kept."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            acc = out.get(e)
+            out[e] = c1 * c2 if acc is None else acc + c1 * c2
+    return out
+
+
 def _settle(rank: int, ints: dict, v, h: int) -> LaurentPoly:
     """``_fit`` of a sum, a quotient or a fold: low zero digits that every
     term shares, as a cancellation or a shift can leave, move into v."""
@@ -459,6 +471,11 @@ def _fit(rank: int, ints: dict, v, h: int) -> LaurentPoly:
 # (r rounds the lower digits off and offsets the sign); A and A' are the
 # packed alpha and alpha / g
 _UNIMOD_CACHE: dict[ExpVec, tuple[int, int, int, int, int, int]] = {}
+
+# character vector alpha -> {packed exponent K: (fold point K - s A, s)},
+# s = <u0, e> div g, for every key ``_fold`` has met: the keys of the
+# suites' numerators repeat, so a fold reads one entry per term
+_FOLD_POINTS: dict[ExpVec, dict[int, tuple[int, int]]] = {}
 
 
 def _linear_form(d: ExpVec) -> tuple[int, int, int, int, int, int]:
@@ -613,39 +630,58 @@ def restrict_to_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
     """
     if poly.is_zero():
         return poly
+    folded = _fold(poly._keyed, poly._v, poly._h, alpha_doubled, target)
+    if folded is not None:
+        return _settle(poly.rank, {e: c for e, c in folded[0].items() if c},
+                       *folded[1:])
     u, r, sh, g, a, _ = _linear_form(alpha_doubled)
-    keyed, v, h = _walk(poly, target)
     out: dict = {}
-    if v is None:
-        scale = not target.is_one()
-        powers: dict[int, QScalar] = {}
-        for e, c in keyed.items():
-            s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
-            if s:
-                e -= s * a
-                if scale:
-                    p = powers.get(s)
-                    if p is None:
-                        p = powers[s] = target ** s
-                    c = c * p
-            acc = out.get(e)
-            out[e] = c if acc is None else acc + c
-        return _raw(poly.rank, {e: c for e, c in out.items()
-                                if not c.is_zero()})
-    k, odd = target.v, target.n == -1
-    low = k and min(k * (((((e * u + r) >> sh) & _MASK) - _HALF) // g)
-                    for e in keyed)
-    for e, c in keyed.items():
+    scale = not target.is_one()
+    powers: dict[int, QScalar] = {}
+    for e, c in _scalars(poly).items():
         s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
         if s:
             e -= s * a
-            if odd and s & 1:
-                c = -c
-        c <<= _QK * (k * s - low)
+            if scale:
+                p = powers.get(s)
+                if p is None:
+                    p = powers[s] = target ** s
+                c = c * p
         acc = out.get(e)
         out[e] = c if acc is None else acc + c
-    return _settle(poly.rank, {e: c for e, c in out.items() if c},
-                   v + low, h)
+    return _raw(poly.rank, {e: c for e, c in out.items() if not c.is_zero()})
+
+
+def _fold(keyed: dict, v, h: int, alpha_doubled: ExpVec,
+          target: QScalar):
+    """(ints by fold point, v, h) of the int terms q^v keyed[K] t^K on
+    t^alpha = c, as ``restrict_to_divisor`` folds them, zero sums kept;
+    None for scalar terms (v None), a target other than +-q^k, or a bound
+    h + ceil(log2 len) past 62.  c^s = (+-1)^s q^(ks) is a shift by
+    ks - low digits over q^(v + low), low the least ks."""
+    h += (len(keyed) - 1).bit_length()
+    n = target.n
+    if v is None or h > _LIMIT or not (n == 1 or n == -1):
+        return None
+    points = _FOLD_POINTS.setdefault(alpha_doubled, {})
+    placed = []
+    for e in keyed:
+        got = points.get(e)
+        if got is None:
+            u, r, sh, g, a, _ = _linear_form(alpha_doubled)
+            s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
+            got = points[e] = e - s * a, s
+        placed.append(got)
+    k, odd = target.v, n == -1
+    low = k and min((k * s for _e, s in placed), default=0)
+    out: dict = {}
+    for c, (e, s) in zip(keyed.values(), placed):
+        if odd and s & 1:
+            c = -c
+        if k:
+            c <<= _QK * (k * s - low)
+        out[e] = out.get(e, 0) + c
+    return out, v + low, h
 
 
 def _restriction_coefficient(poly: LaurentPoly, alpha_doubled: ExpVec,
@@ -693,8 +729,71 @@ def _restriction_coefficient(poly: LaurentPoly, alpha_doubled: ExpVec,
     return _coef(acc, v + low, h) if acc else _ZERO
 
 
+def sum_vanishes_on_divisor(parts, alpha_doubled: ExpVec,
+                            target: QScalar) -> bool:
+    """Whether sum_i p_i prod_j E_ij vanishes on t^alpha = c, for parts
+    (p_i, (E_i1, E_i2, ...)), without forming the sum.
+
+    Restriction is a ring homomorphism.  On ints the polynomials of a part
+    with factors are folded (``_fold``) and the folds multiplied, the
+    parts summed at their least valuation and the sum folded once more,
+    all under the bounds of ``LaurentPoly``: a product adds
+    h_a + h_b + ceil(log2 min len), a sum of n parts ceil(log2 n).  An int
+    is its value at q = 2^64, so past a bound of 62 a nonzero value could
+    read as 0: then, as for scalar terms or a target other than +-q^k, the
+    factors are restricted and multiplied, the parts added and the sum
+    restricted as polynomials.
+    """
+    folded = _folded_sum(parts, alpha_doubled, target)
+    if folded is not None:
+        return not any(folded[0].values())
+    total = None
+    for p, factors in parts:
+        if factors:
+            p = restrict_to_divisor(p, alpha_doubled, target)
+            for fac in factors:
+                p = p * restrict_to_divisor(fac, alpha_doubled, target)
+        total = p if total is None else total + p
+    return restrict_to_divisor(total, alpha_doubled, target).is_zero()
+
+
+def _folded_sum(parts, alpha_doubled: ExpVec, target: QScalar):
+    """``_fold`` of sum_i p_i prod_j E_ij, a part with factors taken as
+    the product of the folds of its polynomials; None where a fold or a
+    bound leaves the ints."""
+    folds = []
+    for p, factors in parts:
+        part = p._keyed, p._v, p._h
+        if factors:
+            part = _fold(*part, alpha_doubled, target)
+            for fac in factors:
+                other = _fold(fac._keyed, fac._v, fac._h, alpha_doubled,
+                              target)
+                if part is None or other is None:
+                    return None
+                (a, va, ha), (b, vb, hb) = part, other
+                # the product bound of ``LaurentPoly.__mul__``
+                hp = ha + hb + (min(len(a), len(b)) - 1).bit_length()
+                if hp > _LIMIT:
+                    return None
+                part = _products(a, b), va + vb, hp
+        if part is None or part[1] is None:
+            return None
+        folds.append(part)
+    v = min(w for _ints, w, _h in folds)
+    total: dict = {}
+    for ints, w, _h in folds:
+        s = _QK * (w - v)
+        for e, c in ints.items():
+            total[e] = total.get(e, 0) + (c << s)
+    h = max(h for _ints, _w, h in folds) + (len(folds) - 1).bit_length()
+    return _fold(total, v, h, alpha_doubled, target)
+
+
 def vanishes_on_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
                         target: QScalar) -> bool:
+    """Whether poly vanishes on t^alpha = c, the one-part case of
+    ``sum_vanishes_on_divisor``: its restriction is zero."""
     return restrict_to_divisor(poly, alpha_doubled, target).is_zero()
 
 

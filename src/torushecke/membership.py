@@ -17,11 +17,14 @@ there: a pole on one side only cannot cancel.  When both have one,
 write the pair sum as (a E_a + b E_b) / (t^alpha - 1) D, where E_a and
 E_b are the factors of the other side's denominator that each side
 lacks; the residues cancel exactly when t^alpha - 1 divides
-a E_a + b E_b.  Restriction to the divisor is a ring homomorphism, so
-the numerators and the missing factors are restricted first and the
-restrictions multiplied; when the other keys agree, one restriction of
-a + b decides it.  Each missing factor is restricted afresh: restricted
-factors are not kept, since a table of them did not pay.
+a E_a + b E_b, that is, when a E_a + b E_b vanishes on t^alpha = 1.
+``laurent.sum_vanishes_on_divisor`` decides that on the divisor without
+building the sum: on int coefficients it folds the numerators and the
+missing factors onto t^alpha = 1, multiplies and sums the folds and
+tests the result for zero.  Each missing factor is folded afresh;
+restricted factors are not kept, since a table of them did not pay.  A
+term whose partner f_{s_alpha w} is absent cancels exactly when it has
+no pole there, so no zero function is built for it.
 
 "1.3.1" is decided in one pass over each coefficient's denominator,
 which also fills the residue scan; only that coefficient's violations
@@ -34,7 +37,7 @@ The condition identifiers above are the wire format used in reports.
 from __future__ import annotations
 
 from .algebra import AlgebraElement
-from .laurent import (RatFunc, expand_den_factor, restrict_to_divisor,
+from .laurent import (RatFunc, expand_den_factor, sum_vanishes_on_divisor,
                       vanishes_on_divisor)
 from .rootdata import inversion_set, multiply_elts, reflection_of_root
 from .scalars import QScalar, scalar_str
@@ -99,7 +102,7 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
     """Run the membership conditions on x at the requested level."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
-    datum = x.datum
+    datum, terms = x.datum, x.terms
     violations, scan, overorder = _pole_scan(x)
     # "1.3.2": pair residues must cancel; meaningless where "1.3.1"
     # already failed at that root, so those roots are skipped
@@ -109,21 +112,23 @@ def check_membership(x: AlgebraElement, level: str = "htilde") -> MembershipRepo
         root = datum.root_from_coords(coords)
         s_alpha = reflection_of_root(datum, root)
         # s_alpha is an involution, so w was checked with its partner
-        # exactly when it is the partner of an earlier term
+        # exactly when it is the partner of an earlier term; an absent
+        # partner cancels exactly when f has no pole on t^alpha = 1
         partners: set = set()
-        for w in list(x.terms):
+        for w, f in terms.items():
             if w in partners:
                 continue
             sw = multiply_elts(datum, s_alpha, w)
             partners.add(sw)
-            if not _residues_cancel(x.coefficient(w), x.coefficient(sw),
-                                    dchar):
+            g = terms.get(sw)
+            if (f.pole_mult(dchar, _ONE) if g is None
+                    else not _residues_cancel(f, g, dchar)):
                 violations.append(Violation(
                     "1.3.2", w.word, coords,
                     "residues along t^alpha = 1 do not cancel against the "
                     f"reflected term [{list(sw.word)}]"))
     if level == "hq":
-        for w, f in x.terms.items():
+        for w, f in terms.items():
             for gamma in inversion_set(datum, w):
                 dchar = tuple(2 * c for c in gamma.char)
                 if f.pole_mult(dchar, _QM2) > 0:
@@ -172,35 +177,22 @@ def _residues_cancel(f: RatFunc, g: RatFunc, dchar) -> bool:
     f and g are reduced, with at most a simple pole there.  Unequal
     multiplicities are decided by the keys; for two simple poles,
     t^alpha - 1 must divide a E_a + b E_b as in ``RatFunc.__add__``,
-    which is tested on the restriction.
+    which ``sum_vanishes_on_divisor`` decides on the divisor.
     """
     mult = f.pole_mult(dchar, _ONE)
     if mult != g.pole_mult(dchar, _ONE):
         return False
     if not mult:
         return True
-    lifted = _lift(f, g, dchar) + _lift(g, f, dchar)
-    return restrict_to_divisor(lifted, dchar, _ONE).is_zero()
+    return sum_vanishes_on_divisor(
+        ((f.num, _missing(f, g)), (g.num, _missing(g, f))), dchar, _ONE)
 
 
-def _lift(f: RatFunc, g: RatFunc, dchar):
-    """f.num times the factors of g's denominator that f lacks, all
-    restricted to t^alpha = 1 first; f.num itself if it lacks none.
-    Each missing factor is restricted afresh; none is kept.
-    """
-    missing = []
-    for key, (m, _rep) in g.den.items():
-        gap = m - f.den.get(key, (0,))[0]
-        if gap > 0:
-            missing.append((key, gap))
-    if not missing:
-        return f.num
-    rank = f.num.rank
-    out = restrict_to_divisor(f.num, dchar, _ONE)
-    for (fchar, target), gap in missing:
-        out = out * restrict_to_divisor(
-            expand_den_factor(rank, fchar, target, gap), dchar, _ONE)
-    return out
+def _missing(f: RatFunc, g: RatFunc) -> list:
+    """The factors of g's denominator that f lacks, as binomial powers."""
+    return [expand_den_factor(f.num.rank, *key, m - f.den.get(key, (0,))[0])
+            for key, (m, _rep) in g.den.items()
+            if m > f.den.get(key, (0,))[0]]
 
 
 def delta_criterion(x: AlgebraElement) -> MembershipReport:

@@ -7,7 +7,8 @@ of `verify --suite bernstein -o` on the finite types B3, C3 and D4, of
 group of each), of `datum -d A2aff --max-length 12 -o`, of `datum -o` and
 `verify --suite daha -o` on the other untwisted affine types of rank at
 most 4, of `nf -o` on a few fixed element files, and of
-`check --level hq -o` on the hand-built element of `test_membership`.
+`check --level hq -o` on the hand-built element of `test_membership` and
+on two residue-pair files.
 A refactor of the exact layers must leave every byte of these reports
 unchanged.
 """
@@ -354,3 +355,42 @@ def test_edge_coefficient_reports_pinned(tmp_path, name):
         code = run_cli(["check", "-d", "A2", "--level", "hq", str(path),
                         "-o", str(out)])
         assert (code, _digest(out)) == check_pin
+
+
+# element files on A2 for the residue rule "1.3.2": name -> (payload,
+# {level: (exit code, sha256 of the `check -o` bytes)}).  A lone simple
+# pole at [e] has no [s_1] partner to cancel against; the pair with
+# coefficients -1/(1+q) and 1/(1+q) cancels, but its [s_1] term does not
+# vanish on t^alpha_1 = q^-2, and its general coefficients leave the int
+# form of ``LaurentPoly``
+RESIDUE_FILES = {
+    "lone-pole": ({"terms": [
+        {"word": [], "num": [{"coef": "1", "exp": [0, 0]}],
+         "den": [{"root": [1, 0], "target": "1"}]}]},
+        {"hq": (1,
+            "6e4c3e860acab4779dd77ec84d1d86508e1e7a08eed1aaac4524a0630eb511be")}),
+    "general-pair": ({"terms": [
+        {"word": [], "num": [{"coef": "-1/(1+q)", "exp": [0, 0]}],
+         "den": [{"root": [1, 0], "target": "1"}]},
+        {"word": [1], "num": [{"coef": "1/(1+q)", "exp": [0, 0]}],
+         "den": [{"root": [1, 0], "target": "1"}]}]},
+        {"htilde": (0,
+            "5a515efdc512d0151ec7f50a91e053f2d29d9d36e2ea63c6af95208db4f52e7f"),
+         "hq": (1,
+            "227a23bf9476df53a0bf879edf9826a23b742e280ed6cdf244d19ef49d0d2bc8")}),
+}
+
+
+@pytest.mark.parametrize("name", list(RESIDUE_FILES))
+def test_residue_pair_reports_pinned(tmp_path, name):
+    payload, pins = RESIDUE_FILES[name]
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(payload))
+    for level, pin in pins.items():
+        out = tmp_path / f"{level}.json"
+        code = run_cli(["check", "-d", "A2", "--level", level, str(path),
+                        "-o", str(out)])
+        assert (code, _digest(out)) == pin
+    conditions = [v["condition"] for v in json.loads(out.read_text())[
+        "violations"]]
+    assert conditions == (["1.3.2"] if name == "lone-pole" else ["1.3.3"])

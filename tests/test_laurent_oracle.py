@@ -13,9 +13,10 @@ vectors of the library are its exponents as they stand.  Products and
 sums of rational functions are checked against plain trial division of
 the whole numerator by every denominator factor, equality against
 subtraction and a sympy cross-multiplication, and the twists kept on a
-function against fresh ones.  Polynomial arithmetic and the three
-kernels on int coefficients are checked against the same value kept as
-QScalars, which runs the scalar path, and against sympy.
+function against fresh ones.  Polynomial arithmetic, the three
+kernels and the vanishing decisions on int coefficients are checked
+against the same value kept as QScalars, which runs the scalar path, and
+against sympy or the whole restriction.
 """
 
 import functools
@@ -40,6 +41,8 @@ from torushecke.laurent import (  # noqa: E402
     divide_by_binomial,
     expand_den_factor,
     restrict_to_divisor,
+    sum_vanishes_on_divisor,
+    vanishes_on_divisor,
 )
 from torushecke.rootdata import (  # noqa: E402
     CartanMatrix,
@@ -587,3 +590,29 @@ def test_int_kernels_agree_with_scalars_and_sympy(case):
     binom = expand_den_factor(len(alpha), alpha, target, 1)
     assert rem.is_zero() == _divides(binom, poly)
     assert _divides(binom, poly - rem) and _divides(binom, poly - fold)
+    assert vanishes_on_divisor(poly, alpha, target) is fold.is_zero()
+    assert vanishes_on_divisor(spoly, alpha, target) is fold.is_zero()
+    # two-part sums, a factor t^alpha - q^-3 on the first part: poly times
+    # a unit on the divisor, and a multiple of the binomial that vanishes
+    # only with the parts aligned at their own valuations
+    other = expand_den_factor(len(alpha), alpha, Q ** -3, 1)
+    for parts, want in (
+            (((poly, (other,)), (poly.scale(Q ** 4), ())), fold.is_zero()),
+            (((poly, (other,)), (binom.scale(Q ** -7) - poly * other, ())),
+             True)):
+        scalar = tuple((_scalar_form(p), tuple(map(_scalar_form, factors)))
+                       for p, factors in parts)
+        assert sum_vanishes_on_divisor(parts, alpha, target) is want
+        assert sum_vanishes_on_divisor(scalar, alpha, target) is want
+
+
+def test_fold_bound_keeps_false_zeros_out():
+    # eight terms 2^61 t^(2j) and -q t^16 fold onto t^0 on t^alpha = 1 for
+    # the doubled alpha (2,): 8 * 2^61 - q is not zero, but its value at
+    # q = 2^64, the int the packed form keeps, is 0
+    big = QScalar.from_int(1 << 61)
+    poly = LaurentPoly(1, {**{(2 * j,): big for j in range(8)}, (16,): -Q})
+    assert poly._v is not None
+    assert not vanishes_on_divisor(poly, (2,), ONE)
+    assert not sum_vanishes_on_divisor(((poly, ()),), (2,), ONE)
+    assert not restrict_to_divisor(poly, (2,), ONE).is_zero()
