@@ -72,16 +72,13 @@ cross-cancel: both operands are reduced, so a factor of one denominator
 is tried only if the other numerator has no lone line for it
 (a/b * c/d cancels only through gcd(a, d) and gcd(c, b)).
 
-Every trial division that reduction still makes is first screened by
-one restriction coefficient.  A multiple of t^alpha - c restricts to
-zero on the divisor, so when the restriction of the numerator has a
-nonzero coefficient at the fold point of its first term, the division
-is skipped; a division that passes runs as before, so reduced forms do
-not change.  The coefficient costs a few int operations per term, plus
-scalar work only for the terms that fold onto that point, where a
-division buckets and long-divides every term; it rules out 1 334 of the
-1 533 failing divisions of the A2aff braid suite to length 6.  Both
-the coefficient and ``restrict_to_divisor`` compute each power of c
+Reduction divides by a stored binomial only where the numerator
+vanishes on its divisor, and that is decided in one place,
+``vanishes_on_divisor``: a multiple of t^alpha - c is exactly what
+restricts to zero there.  On ints the fold of ``restrict_to_divisor``
+(``_fold``) is tested for zero as it stands, with no polynomial built;
+so every division that reduction runs is exact, and its remainder is
+not read.  ``restrict_to_divisor`` computes each power of a general c
 once per call.
 
 No caller changes a polynomial once built, so ``expand_den_factor``
@@ -545,19 +542,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _walk(poly: LaurentPoly, target: QScalar) -> tuple:
-    """(coefficients, v, h) for a walk whose every result sums distinct
-    terms of poly, each times a power of target: ints over q^v, digits
-    below 2^h, when poly is in int form and target is +-q^k; else the
-    scalars, with v None."""
-    v = poly._v
-    h = poly._h + (len(poly._keyed) - 1).bit_length()
-    n = target.n
-    if v is not None and h <= _LIMIT and (n == 1 or n == -1):
-        return poly._keyed, v, h
-    return _scalars(poly), None, _LIMIT
-
-
 def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
                        target: QScalar):
     """Write poly = (t^alpha - c) * quotient + remainder, both exact.
@@ -574,7 +558,12 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
     if poly.is_zero():
         return poly, poly
     u, r, s, g, a, _ = _linear_form(alpha_doubled)
-    keyed, v, h = _walk(poly, target)
+    # each quotient and remainder coefficient sums distinct terms of poly,
+    # each times a power of c: ints while poly has them and c = +-q^k
+    keyed, v, n = poly._keyed, poly._v, target.n
+    h = poly._h + (len(keyed) - 1).bit_length()
+    if v is None or h > _LIMIT or not (n == 1 or n == -1):
+        keyed, v, h = _scalars(poly), None, _LIMIT
     levels: dict[int, dict] = {}
     for e, c in keyed.items():
         levels.setdefault((((e * u + r) >> s) & _MASK) - _HALF, {})[e] = c
@@ -582,7 +571,7 @@ def divide_by_binomial(poly: LaurentPoly, alpha_doubled: ExpVec,
     times = None if target.is_one() else target.__mul__
     zero = _ZERO
     if v is not None:
-        zero, k, n = 0, target.v, target.n
+        zero, k = 0, target.v
         if k < 0:
             d = -k * ((top - bottom) // g)
             v -= d
@@ -684,51 +673,6 @@ def _fold(keyed: dict, v, h: int, alpha_doubled: ExpVec,
     return out, v + low, h
 
 
-def _restriction_coefficient(poly: LaurentPoly, alpha_doubled: ExpVec,
-                             target: QScalar) -> QScalar:
-    """c^(-s_0) times the coefficient of ``restrict_to_divisor`` at the
-    fold point of the first term e_0 of poly (zero for the zero poly).
-
-    That is the sum of c_e c^(s_e - s_0) over the terms whose fold point
-    e - s_e alpha is e_0's; a multiple of t^alpha - c restricts to zero,
-    so a nonzero sum proves the binomial does not divide poly.  On ints
-    the sum is kept over q^(v + low), and low falls as a term needs it.
-    """
-    if poly.is_zero():
-        return _ZERO
-    keyed, v, h = _walk(poly, target)
-    items = iter(keyed.items())
-    e0, acc = next(items)
-    u, r, sh, g, a, _ = _linear_form(alpha_doubled)
-    s0 = ((((e0 * u + r) >> sh) & _MASK) - _HALF) // g
-    point = e0 - s0 * a
-    if v is None:
-        scale = not target.is_one()
-        powers: dict[int, QScalar] = {}
-        for e, c in items:
-            s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
-            if e - s * a == point:
-                if scale and s != s0:
-                    p = powers.get(s)
-                    if p is None:
-                        p = powers[s] = target ** (s - s0)
-                    c = c * p
-                acc = acc + c
-        return acc
-    k, odd, low = target.v, target.n == -1, 0
-    for e, c in items:
-        s = ((((e * u + r) >> sh) & _MASK) - _HALF) // g
-        if e - s * a == point:
-            j = k * (s - s0)
-            if j < low:
-                acc <<= _QK * (low - j)
-                low = j
-            if odd and (s - s0) & 1:
-                c = -c
-            acc += c << _QK * (j - low)
-    return _coef(acc, v + low, h) if acc else _ZERO
-
-
 def sum_vanishes_on_divisor(parts, alpha_doubled: ExpVec,
                             target: QScalar) -> bool:
     """Whether sum_i p_i prod_j E_ij vanishes on t^alpha = c, for parts
@@ -792,8 +736,17 @@ def _folded_sum(parts, alpha_doubled: ExpVec, target: QScalar):
 
 def vanishes_on_divisor(poly: LaurentPoly, alpha_doubled: ExpVec,
                         target: QScalar) -> bool:
-    """Whether poly vanishes on t^alpha = c, the one-part case of
-    ``sum_vanishes_on_divisor``: its restriction is zero."""
+    """Whether poly vanishes on t^alpha = c, that is, whether t^alpha - c
+    divides it: the one divisibility test that reduction and the
+    "1.3.3" condition of membership make.
+
+    On ints the fold of ``restrict_to_divisor`` (``_fold``) is tested
+    for zero directly, with no polynomial built; scalar terms, a target
+    other than +-q^k or a bound past 62 build the restriction.
+    """
+    folded = _fold(poly._keyed, poly._v, poly._h, alpha_doubled, target)
+    if folded is not None:
+        return not any(folded[0].values())
     return restrict_to_divisor(poly, alpha_doubled, target).is_zero()
 
 
@@ -935,23 +888,17 @@ class RatFunc:
     def _reduce(self, keys):
         """Cancel the factors in keys that divide num.
 
-        Each trial division is first screened by one coefficient of the
-        restriction of num to the divisor (``_restriction_coefficient``):
-        a nonzero one proves the binomial does not divide num, so the
-        division is skipped; one that passes the screen divides as before.
+        A factor is divided out only while num vanishes on its divisor
+        (``vanishes_on_divisor``), so every division is exact and only
+        its quotient is read.
         """
         num = self.num
         den = self.den
         for key in keys:
             m, rep = den[key]
             dchar, target = key
-            while m:
-                if not _restriction_coefficient(num, dchar, target).is_zero():
-                    break
-                q, r = divide_by_binomial(num, dchar, target)
-                if not r.is_zero():
-                    break
-                num = q
+            while m and vanishes_on_divisor(num, dchar, target):
+                num = divide_by_binomial(num, dchar, target)[0]
                 m -= 1
             if m:
                 den[key] = (m, rep)
@@ -1061,15 +1008,15 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        """Compare reduced forms, which are canonical; operands over
-        different data compare by subtraction."""
+        """Compare reduced forms, which are canonical.  Mixed data
+        raise."""
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.datum is other.datum:
-            # a key's character fixes its root, so the stored (m, root)
-            # values agree exactly when the multiplicities do
-            return self.den == other.den and self.num == other.num
-        return (self - other).is_zero()
+        if self.datum is not other.datum:
+            raise RootDatumError("mixed root data")
+        # a key's character fixes its root, so the stored (m, root) values
+        # agree exactly when the multiplicities do
+        return self.den == other.den and self.num == other.num
 
     def weyl_transform(self, w) -> "RatFunc":
         """The twisted action ^w f: exponents move by w on characters.

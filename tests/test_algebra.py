@@ -153,6 +153,12 @@ def test_mixing_root_data_raises():
         fa + fb
     with pytest.raises(RootDatumError, match="mixed root data"):
         fa * fb
+    # equality raises too, with a zero operand as well, whose sum with
+    # the other would not see the two data
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        fa == fb
+    with pytest.raises(RootDatumError, match="mixed root data"):
+        RatFunc.zero(b) == RatFunc.one(a)
     with pytest.raises(RootDatumError, match="mixed root data"):
         AlgebraElement.identity(a) * AlgebraElement.identity(b)
     # disjoint supports: no coefficient meets another, so only the

@@ -7,8 +7,9 @@ of `verify --suite bernstein -o` on the finite types B3, C3 and D4, of
 group of each), of `datum -d A2aff --max-length 12 -o`, of `datum -o` and
 `verify --suite daha -o` on the other untwisted affine types of rank at
 most 4, of `nf -o` on a few fixed element files, and of
-`check --level hq -o` on the hand-built element of `test_membership` and
-on two residue-pair files.
+`check --level hq -o` on the hand-built element of `test_membership`, on
+two residue-pair files and on a file whose factor over 1 + q cancels on
+load.
 A refactor of the exact layers must leave every byte of these reports
 unchanged.
 """
@@ -394,3 +395,28 @@ def test_residue_pair_reports_pinned(tmp_path, name):
     conditions = [v["condition"] for v in json.loads(out.read_text())[
         "violations"]]
     assert conditions == (["1.3.2"] if name == "lone-pole" else ["1.3.3"])
+
+
+# an A2 file whose numerator t^alpha_1 - (1 + q) is its denominator
+# factor: the general target 1 + q is decided off the int coefficient
+# form, by the scalar restriction, and the factor cancels on load, so
+# `check` passes (it would otherwise exit 1 on a "1.3.1" pole on 1 + q)
+GENERAL_TARGET_FILE = {"terms": [
+    {"word": [], "num": [{"coef": "1", "exp": [4, -2]},
+                         {"coef": "-1-q", "exp": [0, 0]}],
+     "den": [{"root": [1, 0], "target": "1+q"}]}]}
+GENERAL_TARGET_CHECK = (
+    0, "15e831edf4d02cdbe13b1ca1d2a150710a6b6f62b49c6b90da4aa32bb68ffd1f")
+
+
+def test_general_target_factor_cancels_on_load(tmp_path):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(GENERAL_TARGET_FILE))
+    out = tmp_path / "check.json"
+    code = run_cli(["check", "-d", "A2", "--level", "hq", str(path),
+                    "-o", str(out)])
+    assert (code, _digest(out)) == GENERAL_TARGET_CHECK
+    out = tmp_path / "nf.json"
+    assert run_cli(["nf", "-d", "A2", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["coefficients"] == [
+        {"scalar": "1", "word": []}]

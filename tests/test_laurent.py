@@ -36,7 +36,7 @@ from torushecke.rootdata import (
     preset_datum,
     weyl_ball,
 )
-from torushecke.presentations import closure_suite
+from torushecke.presentations import braid_suite, closure_suite
 from torushecke.scalars import QScalar
 
 ONE = QScalar.one()
@@ -399,6 +399,23 @@ def test_closure_suites_leave_shared_binomials_unchanged():
     assert seen
     for (rank, dchar, target, mult), (poly, _terms) in seen.items():
         assert poly == _fresh_binomial(rank, dchar, target, mult)
+
+
+def test_reduction_divides_only_where_the_binomial_divides(monkeypatch):
+    # reduction asks the fold first, so every division it runs is exact
+    remainders = []
+
+    def recording(poly, dchar, target):
+        quot, rem = divide_by_binomial(poly, dchar, target)
+        remainders.append(rem)
+        return quot, rem
+
+    monkeypatch.setattr(laurent, "divide_by_binomial", recording)
+    assert braid_suite(preset_datum("A2aff"), max_length=6).ok
+    for name in ("A2", "B2"):
+        assert closure_suite(preset_datum(name), count=20).ok
+    assert remainders
+    assert all(rem.is_zero() for rem in remainders)
 
 
 def test_one_term_has_a_lone_line_and_zero_has_none():

@@ -5,18 +5,16 @@ Property tests: hypothesis draws a Laurent polynomial, a binomial
 t^alpha - c and a cofactor; sympy, an independent implementation of
 polynomial arithmetic over Q(q), decides whether the binomial divides
 the polynomial, whether two polynomials agree on the divisor, and
-whether the two are coprime when the lone-line certificate says so; the
-one restriction coefficient that screens trial divisions is checked
-against the whole restriction and the remainder of the division.  The
+whether the two are coprime when the lone-line certificate says so.  The
 variable x_i of the sympy side is t^(e_i / 2), so the doubled exponent
 vectors of the library are its exponents as they stand.  Products and
 sums of rational functions are checked against plain trial division of
 the whole numerator by every denominator factor, equality against
 subtraction and a sympy cross-multiplication, and the twists kept on a
-function against fresh ones.  Polynomial arithmetic, the three
-kernels and the vanishing decisions on int coefficients are checked
-against the same value kept as QScalars, which runs the scalar path, and
-against sympy or the whole restriction.
+function against fresh ones.  Polynomial arithmetic, the division and
+restriction kernels and the vanishing decisions on int coefficients are
+checked against the same value kept as QScalars, which runs the scalar
+path, and against sympy or the whole restriction.
 """
 
 import functools
@@ -37,7 +35,6 @@ from torushecke.laurent import (  # noqa: E402
     LaurentPoly,
     RatFunc,
     _has_lone_line,
-    _restriction_coefficient,
     divide_by_binomial,
     expand_den_factor,
     restrict_to_divisor,
@@ -157,25 +154,6 @@ def test_restriction_is_canonical_on_the_divisor(case):
     assert fold.is_zero() == divide_by_binomial(poly, alpha, target)[1].is_zero()
     # poly and its fold agree on the divisor
     assert _divides(binom, poly - fold)
-
-
-@settings(SETTINGS, max_examples=100)
-@given(cases())
-def test_restriction_coefficient_screens_divisions(case):
-    poly, alpha, target, _ = case
-    coef = _restriction_coefficient(poly, alpha, target)
-    if poly.is_zero():
-        assert coef.is_zero()
-        return
-    # a "cannot divide" answer is never wrong
-    if not coef.is_zero():
-        assert not divide_by_binomial(poly, alpha, target)[1].is_zero()
-    # the first term alone restricts to c^s_0 at its fold point
-    first = next(iter(poly.terms))
-    (point, power), = restrict_to_divisor(
-        LaurentPoly.monomial(len(alpha), first), alpha, target).terms.items()
-    fold = restrict_to_divisor(poly, alpha, target)
-    assert coef == fold.coefficient(point) / power
 
 
 # square roots of the targets 1 and q^2: t^(alpha/2) - s shares a factor
@@ -585,8 +563,6 @@ def test_int_kernels_agree_with_scalars_and_sympy(case):
     _agree(rem, want[1])
     fold = restrict_to_divisor(poly, alpha, target)
     _agree(fold, restrict_to_divisor(spoly, alpha, target))
-    assert _restriction_coefficient(poly, alpha, target) == (
-        _restriction_coefficient(spoly, alpha, target))
     binom = expand_den_factor(len(alpha), alpha, target, 1)
     assert rem.is_zero() == _divides(binom, poly)
     assert _divides(binom, poly - rem) and _divides(binom, poly - fold)
